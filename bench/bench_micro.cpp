@@ -125,26 +125,6 @@ void BM_ClassicMergeKernelOrganPipe(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassicMergeKernelOrganPipe)->Arg(1 << 16);
 
-void BM_BranchlessMergeKernel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto input = make_merge_input(Dist::kUniform, n, n, 42);
-  std::vector<std::int32_t> out(2 * n);
-  for (auto _ : state) {
-    // The first-class tail-fallback contract (src/kernels): branchless
-    // prefix, scalar remainder. This used to be a hand-rolled padding
-    // loop here.
-    std::size_t i = 0, j = 0;
-    const std::size_t written = kernels::branchless_merge_bounded(
-        input.a.data(), n, input.b.data(), n, &i, &j, out.data(), 2 * n);
-    merge_steps(input.a.data(), n, input.b.data(), n, &i, &j,
-                out.data() + written, 2 * n - written);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(2 * n) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BranchlessMergeKernel)->Arg(1 << 16);
-
 void BM_LoserTreePopN(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   std::vector<std::vector<std::int32_t>> runs(k);
@@ -493,7 +473,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--kernel") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --kernel needs a value "
-                             "(scalar|branchless|sse4|avx2|avx512)\n");
+                             "(scalar|sse4|avx2|avx512)\n");
         return 2;
       }
       forced = argv[++i];
@@ -508,7 +488,7 @@ int main(int argc, char** argv) {
     if (!kernel) {
       std::fprintf(stderr,
                    "error: unknown --kernel '%s' "
-                   "(scalar|branchless|sse4|avx2|avx512)\n",
+                   "(scalar|sse4|avx2|avx512)\n",
                    forced.c_str());
       return 2;
     }

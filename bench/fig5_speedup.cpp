@@ -7,7 +7,8 @@
 // speedup (~11.7x at 12 threads) with a slight droop for the largest
 // arrays. This harness reproduces the figure under the CREW PRAM cost
 // model (DESIGN.md section 2 explains the substitution); pass --wallclock
-// to also print host wall-clock numbers, which on a single-core container
+// to also print host wall-clock numbers of parallel_merge, which runs the
+// same lane body and kernel at every thread count, p = 1 included. They
 // are reported for honesty, not for shape.
 //
 // Flags: --full (all five paper sizes; default 1M/4M/16M), --threads-max N

@@ -202,6 +202,51 @@ std::vector<Run> merge_round_balanced(const T* src, T* dst,
       });
 }
 
+namespace detail {
+
+/// Section III's lane bodies — p block sorts, then log2(p) flattened
+/// merge rounds ping-ponging between `data` and `scratch` — parameterised
+/// over the lane runner like merge_round_impl. Inputs too small to give
+/// every lane a full base-case run sort as one lane. Returns the buffer
+/// holding the sorted result; copying it back into `data` is the
+/// caller's.
+template <typename T, typename Comp, typename Instr, typename RunLanes>
+T* parallel_merge_sort_impl(T* data, T* scratch, std::size_t n,
+                            unsigned lanes, Comp comp, std::span<Instr> instr,
+                            RunLanes&& run_lanes) {
+  if (n <= lanes * kInsertionSortThreshold) lanes = 1;
+  MP_CHECK(instr.empty() || instr.size() >= lanes);
+
+  // Phase 1: p blocks, each sorted sequentially by its own lane.
+  std::vector<Run> runs(lanes);
+  run_lanes(lanes, [&](unsigned lane) {
+    obs::Span span("sort.block", "lane", lane);
+    Instr* li = instr.empty() ? nullptr : &instr[lane];
+    const std::size_t begin = lane * n / lanes;
+    const std::size_t end = (lane + 1ull) * n / lanes;
+    runs[lane] = Run{begin, end};
+    sequential_merge_sort(data + begin, scratch + begin, end - begin, comp,
+                          li);
+  });
+
+  // Phase 2: log2(p) flattened merge rounds, ping-ponging buffers. The
+  // round-index counter brackets each sort.round span so a trace viewer
+  // (and check_trace.py) can attribute per-lane imbalance to the round
+  // that produced it — late rounds merge few, long runs and are where
+  // skewed inputs bite.
+  T* src = data;
+  T* dst = scratch;
+  std::uint64_t round = 0;
+  while (runs.size() > 1) {
+    obs::Span::counter("sort.round_index", round++);
+    runs = merge_round_impl(src, dst, runs, lanes, comp, instr, run_lanes);
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+}  // namespace detail
+
 /// The paper's Parallel Merge Sort (Section III). Sorts [data, data+n)
 /// stably using `exec`. `instr`, when provided, must cover
 /// exec.resolve_threads() lanes and accumulates per-lane operation counts
@@ -214,40 +259,12 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
   if (n <= 1) return;
   obs::Span sort_span("sort", "n", n);
   std::vector<T> scratch(n);
-  if (lanes == 1 || n <= lanes * detail::kInsertionSortThreshold) {
-    Instr* li = instr.empty() ? nullptr : &instr[0];
-    sequential_merge_sort(data, scratch.data(), n, comp, li);
-    return;
-  }
-
-  // Phase 1: p blocks, each sorted sequentially by its own lane.
-  std::vector<Run> runs(lanes);
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
-    obs::Span span("sort.block", "lane", lane);
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
-    const std::size_t begin = lane * n / lanes;
-    const std::size_t end = (lane + 1ull) * n / lanes;
-    runs[lane] = Run{begin, end};
-    sequential_merge_sort(data + begin, scratch.data() + begin, end - begin,
-                          comp, li);
-  });
-
-  // Phase 2: log2(p) flattened merge rounds, ping-ponging buffers. The
-  // round-index counter brackets each sort.round span so a trace viewer
-  // (and check_trace.py) can attribute per-lane imbalance to the round
-  // that produced it — late rounds merge few, long runs and are where
-  // skewed inputs bite.
-  T* src = data;
-  T* dst = scratch.data();
-  std::uint64_t round = 0;
-  while (runs.size() > 1) {
-    obs::Span::counter("sort.round_index", round++);
-    runs = merge_round_balanced(src, dst, runs, exec, comp, instr);
-    std::swap(src, dst);
-  }
+  const auto run_lanes = detail::pool_runner(exec.resolve_pool());
+  T* src = detail::parallel_merge_sort_impl(data, scratch.data(), n, lanes,
+                                            comp, instr, run_lanes);
   if (src != data) {
     // Result landed in scratch: parallel copy-back (counted as moves).
-    exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+    run_lanes(lanes, [&](unsigned lane) {
       obs::Span span("sort.copyback", "lane", lane);
       const std::size_t begin = lane * n / lanes;
       const std::size_t end = (lane + 1ull) * n / lanes;
@@ -266,104 +283,4 @@ void parallel_merge_sort(std::span<T> data, Executor exec = {},
   parallel_merge_sort(data.data(), data.size(), exec, comp);
 }
 
-#ifdef _OPENMP
-/// OpenMP backend of the Section III sort, mirroring the paper's own
-/// implementation vehicle: one omp parallel region per phase (block sorts,
-/// then each flattened merge round), lane = omp thread.
-template <typename T, typename Comp = std::less<>>
-void parallel_merge_sort_openmp(T* data, std::size_t n, unsigned threads = 0,
-                                Comp comp = {});
-#endif
-
 }  // namespace mp
-
-#ifdef _OPENMP
-#include <omp.h>
-
-namespace mp {
-
-template <typename T, typename Comp>
-void parallel_merge_sort_openmp(T* data, std::size_t n, unsigned threads,
-                                Comp comp) {
-  const int lanes =
-      threads > 0 ? static_cast<int>(threads) : omp_get_max_threads();
-  if (n <= 1) return;
-  std::vector<T> scratch(n);
-  if (lanes <= 1 ||
-      n <= static_cast<std::size_t>(lanes) * detail::kInsertionSortThreshold) {
-    sequential_merge_sort(data, scratch.data(), n, comp);
-    return;
-  }
-
-  const auto ulanes = static_cast<unsigned>(lanes);
-  std::vector<Run> runs(ulanes);
-#pragma omp parallel num_threads(lanes)
-  {
-    const auto lane = static_cast<unsigned>(omp_get_thread_num());
-    const auto actual = static_cast<unsigned>(omp_get_num_threads());
-    if (lane < actual) {
-      const std::size_t begin = lane * n / actual;
-      const std::size_t end = (lane + 1ull) * n / actual;
-      runs[lane] = Run{begin, end};
-      sequential_merge_sort(data + begin, scratch.data() + begin,
-                            end - begin, comp);
-    }
-  }
-  runs.resize(std::min<std::size_t>(runs.size(), ulanes));
-
-  T* src = data;
-  T* dst = scratch.data();
-  while (runs.size() > 1) {
-    // Reuse the flattened round, driven by an OpenMP "pool" of one lane
-    // each: simplest correct composition is to run the round's lane
-    // function under omp for. merge_round_balanced already encapsulates
-    // the slice math; replicate its pair loop here with omp lanes.
-    std::vector<Run> merged;
-    struct Pair {
-      Run a, b;
-    };
-    std::vector<Pair> pairs;
-    for (std::size_t t = 0; 2 * t < runs.size(); ++t) {
-      const Run a = runs[2 * t];
-      const Run b =
-          2 * t + 1 < runs.size() ? runs[2 * t + 1] : Run{a.end, a.end};
-      pairs.push_back(Pair{a, b});
-      merged.push_back(Run{a.begin, b.end});
-    }
-    const std::size_t total = runs.back().end - runs.front().begin;
-    const std::size_t base = runs.front().begin;
-#pragma omp parallel num_threads(lanes)
-    {
-      const auto lane = static_cast<unsigned>(omp_get_thread_num());
-      const auto actual = static_cast<unsigned>(omp_get_num_threads());
-      const std::size_t g0 = base + lane * total / actual;
-      const std::size_t g1 = base + (lane + 1ull) * total / actual;
-      for (const Pair& pr : pairs) {
-        const std::size_t out_begin = pr.a.begin;
-        const std::size_t out_end = pr.b.end;
-        const std::size_t s0 = std::max(g0, out_begin);
-        const std::size_t s1 = std::min(g1, out_end);
-        if (s0 >= s1) continue;
-        const std::size_t m = pr.a.size();
-        const std::size_t n2 = pr.b.size();
-        const PathPoint start = path_point_on_diagonal(
-            src + pr.a.begin, m, src + pr.b.begin, n2, s0 - out_begin,
-            comp);
-        std::size_t i = start.i;
-        std::size_t j = start.j;
-        kernels::merge_steps_auto(src + pr.a.begin, m, src + pr.b.begin, n2,
-                                  &i, &j, dst + s0, s1 - s0, comp);
-      }
-    }
-    runs = std::move(merged);
-    std::swap(src, dst);
-  }
-  if (src != data) {
-#pragma omp parallel for num_threads(lanes) schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i)
-      data[i] = std::move(src[i]);
-  }
-}
-
-}  // namespace mp
-#endif

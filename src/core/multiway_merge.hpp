@@ -27,6 +27,7 @@
 
 #include "core/instrument.hpp"
 #include "core/merge_sort.hpp"
+#include "core/parallel_merge.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/threading.hpp"
@@ -202,17 +203,21 @@ std::vector<std::size_t> multiway_select(
   return pos;
 }
 
-/// Merges k sorted runs into `out` using p lanes; stable across runs (lower
-/// run index wins ties). Time O((N/p)·log k) per lane plus the selection.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
-void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
-                             Executor exec = {}, Comp comp = {},
-                             std::span<Instr> instr = {}) {
+namespace detail {
+
+/// The k-way lane body: lane k spans global output ranks
+/// [k·N/p, (k+1)·N/p), locates its start with multiway_select() and pops
+/// its quota from a LoserTree. Parameterised over the lane runner like
+/// parallel_merge_impl; lanes read const runs and write disjoint output
+/// spans, so re-executing a lane is idempotent.
+template <typename T, typename Comp, typename Instr, typename RunLanes>
+void parallel_multiway_merge_impl(std::span<const std::span<const T>> runs,
+                                  T* out, unsigned lanes, Comp comp,
+                                  std::span<Instr> instr,
+                                  RunLanes&& run_lanes) {
   std::size_t total = 0;
   for (const auto& r : runs) total += r.size();
   if (total == 0) return;
-  const unsigned lanes = exec.resolve_threads();
   MP_CHECK(instr.empty() || instr.size() >= lanes);
   obs::Span mwm_span("mwm", "n", total);
 
@@ -223,12 +228,12 @@ void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
     // scalar). Lower-run-wins tie breaking IS A-priority, so the output is
     // identical. Instrumented calls keep the LoserTree so the modelled
     // log-k compare counts stay honest.
-    parallel_merge(runs[0].data(), runs[0].size(), runs[1].data(),
-                   runs[1].size(), out, exec, comp);
+    parallel_merge_impl(runs[0].data(), runs[0].size(), runs[1].data(),
+                        runs[1].size(), out, lanes, comp, instr, run_lanes);
     return;
   }
 
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t r0 = lane * total / lanes;
     const std::size_t r1 = (lane + 1ull) * total / lanes;
@@ -247,6 +252,20 @@ void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
     LoserTree<T, Comp> tree(std::move(cursors), comp);
     tree.pop_n(out + r0, r1 - r0, li);
   });
+}
+
+}  // namespace detail
+
+/// Merges k sorted runs into `out` using p lanes; stable across runs (lower
+/// run index wins ties). Time O((N/p)·log k) per lane plus the selection.
+template <typename T, typename Comp = std::less<>,
+          typename Instr = NoInstrument>
+void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
+                             Executor exec = {}, Comp comp = {},
+                             std::span<Instr> instr = {}) {
+  detail::parallel_multiway_merge_impl(
+      runs, out, exec.resolve_threads(), comp, instr,
+      detail::pool_runner(exec.resolve_pool()));
 }
 
 /// One-pass multiway merge sort: p sequentially-sorted blocks fused by a

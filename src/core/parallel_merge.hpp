@@ -12,11 +12,10 @@
 /// Complexity (paper, Section III): time O(N/p + log N), work
 /// O(N + p·log N) for N = |A|+|B|.
 ///
-/// Two entry points:
-///  - parallel_merge():        ThreadPool backend (portable, default)
-///  - parallel_merge_openmp(): OpenMP parallel-for backend, the paper's own
-///    implementation vehicle (Section VI); compiled only when OpenMP is
-///    available.
+/// The lane body lives once, in detail::parallel_merge_impl, parameterised
+/// over the lane runner: parallel_merge() passes the ThreadPool fork-join,
+/// resilient_parallel_merge() (core/recovery.hpp) the recovery engine.
+/// p = 1 runs the same body with one lane, inline on the caller.
 ///
 /// Instrumented variants fill one OpCounts per lane; the PRAM simulator
 /// turns those into modelled parallel time (DESIGN.md S9/E1).
@@ -28,7 +27,6 @@
 
 #include "core/instrument.hpp"
 #include "core/merge_path.hpp"
-#include "core/sequential_merge.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -63,26 +61,37 @@ MergeSlice merge_slice_for_lane(IterA a, std::size_t m, IterB b,
   return MergeSlice{start.i, start.j, diag_lo, diag_hi - diag_lo};
 }
 
-/// Algorithm 1 with an explicit executor. Merges sorted [a, a+m) and
-/// [b, b+n) into [out, out+m+n); stable with A-priority. `instr`, when
-/// non-null, must point to exec.resolve_threads() OpCounts entries.
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>, typename Instr = NoInstrument>
-void parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
-                    OutIter out, Executor exec = {}, Comp comp = {},
-                    std::span<Instr> instr = {}) {
-  const unsigned lanes = exec.resolve_threads();
+namespace detail {
+
+/// The lane runner of the plain entry points: fn(lane) for every lane
+/// through the ThreadPool fork-join. One lane runs inline on the caller
+/// without touching the pool, as detail::recovering_runner does, so p = 1
+/// never draws a lane fault from a pool's fault plan.
+inline auto pool_runner(ThreadPool& pool) {
+  return [&pool](unsigned lanes, const std::function<void(unsigned)>& fn) {
+    if (lanes == 1) {
+      fn(0);
+      return;
+    }
+    pool.parallel_for_lanes(lanes, fn);
+  };
+}
+
+/// Algorithm 1's lane body: diagonal search, then the lane's steps of the
+/// dispatched merge kernel. `run_lanes(lanes, fn)` must execute fn(lane)
+/// for every lane in [0, lanes); a lane only reads A and B and writes a
+/// disjoint output slice, so re-executing a lane is idempotent. Sizes with
+/// no more elements than lanes run as one lane.
+template <typename IterA, typename IterB, typename OutIter, typename Comp,
+          typename Instr, typename RunLanes>
+void parallel_merge_impl(IterA a, std::size_t m, IterB b, std::size_t n,
+                         OutIter out, unsigned lanes, Comp comp,
+                         std::span<Instr> instr, RunLanes&& run_lanes) {
   MP_CHECK(instr.empty() || instr.size() >= lanes);
   obs::Span merge_span("merge", "n", m + n);
+  if (m + n <= lanes) lanes = 1;
 
-  if (lanes == 1 || m + n <= lanes) {
-    // Degenerate cases: sequential merge is both faster and simpler.
-    Instr* in0 = instr.empty() ? nullptr : &instr[0];
-    sequential_merge(a, m, b, n, out, comp, in0);
-    return;
-  }
-
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     MergeSlice slice;
     {
@@ -92,12 +101,24 @@ void parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
     obs::Span span("merge.segment", "lane", lane);
     std::size_t i = slice.a_begin;
     std::size_t j = slice.b_begin;
-    // Per-lane kernel: routed through the dispatcher (scalar / branchless
-    // / SIMD — byte-identical by contract, see src/kernels).
     kernels::merge_steps_auto(a, m, b, n, &i, &j,
                               out + static_cast<std::ptrdiff_t>(slice.out_begin),
                               slice.steps, comp, li);
   });
+}
+
+}  // namespace detail
+
+/// Algorithm 1 with an explicit executor. Merges sorted [a, a+m) and
+/// [b, b+n) into [out, out+m+n); stable with A-priority. `instr`, when
+/// non-null, must point to exec.resolve_threads() OpCounts entries.
+template <typename IterA, typename IterB, typename OutIter,
+          typename Comp = std::less<>, typename Instr = NoInstrument>
+void parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
+                    OutIter out, Executor exec = {}, Comp comp = {},
+                    std::span<Instr> instr = {}) {
+  detail::parallel_merge_impl(a, m, b, n, out, exec.resolve_threads(), comp,
+                              instr, detail::pool_runner(exec.resolve_pool()));
 }
 
 /// Convenience vector front-end: returns the merged vector.
@@ -110,46 +131,4 @@ std::vector<T> parallel_merge(const std::vector<T>& a, const std::vector<T>& b,
   return out;
 }
 
-#ifdef _OPENMP
-/// Algorithm 1 on OpenMP, mirroring the paper's implementation (Section
-/// VI). `threads` == 0 uses the OpenMP default.
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>>
-void parallel_merge_openmp(IterA a, std::size_t m, IterB b, std::size_t n,
-                           OutIter out, unsigned threads = 0, Comp comp = {});
-#endif
-
 }  // namespace mp
-
-#ifdef _OPENMP
-#include <omp.h>
-
-namespace mp {
-
-template <typename IterA, typename IterB, typename OutIter, typename Comp>
-void parallel_merge_openmp(IterA a, std::size_t m, IterB b, std::size_t n,
-                           OutIter out, unsigned threads, Comp comp) {
-  const int lanes = threads > 0 ? static_cast<int>(threads)
-                                : omp_get_max_threads();
-  if (lanes <= 1 || m + n <= static_cast<std::size_t>(lanes)) {
-    sequential_merge(a, m, b, n, out, comp);
-    return;
-  }
-#pragma omp parallel num_threads(lanes)
-  {
-    const unsigned lane = static_cast<unsigned>(omp_get_thread_num());
-    const unsigned actual = static_cast<unsigned>(omp_get_num_threads());
-    if (lane < actual) {
-      const MergeSlice slice =
-          merge_slice_for_lane(a, m, b, n, lane, actual, comp);
-      std::size_t i = slice.a_begin;
-      std::size_t j = slice.b_begin;
-      kernels::merge_steps_auto(a, m, b, n, &i, &j,
-                                out + static_cast<std::ptrdiff_t>(slice.out_begin),
-                                slice.steps, comp);
-    }
-  }  // implicit barrier — the "Barrier" closing Algorithm 1
-}
-
-}  // namespace mp
-#endif

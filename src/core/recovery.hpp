@@ -200,43 +200,43 @@ inline RecoveryReport run_lanes_with_recovery(
   return report;
 }
 
-/// Fault-aware Algorithm 1: parallel_merge's exact partition math and lane
-/// body, driven through the recovery engine. Output is byte-identical to
-/// the plain merge whatever the fault schedule injects (or an exception
-/// surfaces — never silent corruption).
+namespace detail {
+
+/// The lane runner of the resilient entry points: fn(lane) for every lane
+/// under run_lanes_with_recovery, outcomes folded into `report`. One lane
+/// runs inline on the caller, as detail::pool_runner does, without a
+/// pool submission, so it draws no lane fault.
+inline auto recovering_runner(ThreadPool& pool, const RecoveryConfig& cfg,
+                              RecoveryReport& report) {
+  return [&pool, &cfg, &report](unsigned lanes,
+                                const std::function<void(unsigned)>& fn) {
+    if (lanes == 1) {
+      ++report.lanes;
+      fn(0);
+      return;
+    }
+    report.absorb(run_lanes_with_recovery(pool, lanes, fn, cfg));
+  };
+}
+
+}  // namespace detail
+
+/// Fault-aware Algorithm 1: parallel_merge's lane body, driven through the
+/// recovery engine. Output is byte-identical to the plain merge whatever
+/// the fault schedule injects (or an exception surfaces — never silent
+/// corruption).
 template <typename IterA, typename IterB, typename OutIter,
           typename Comp = std::less<>>
 RecoveryReport resilient_parallel_merge(IterA a, std::size_t m, IterB b,
                                         std::size_t n, OutIter out,
                                         Executor exec = {}, Comp comp = {},
                                         const RecoveryConfig& cfg = {}) {
-  const unsigned lanes = exec.resolve_threads();
-  obs::Span merge_span("merge", "n", m + n);
-  if (lanes == 1 || m + n <= lanes) {
-    RecoveryReport report;
-    report.lanes = 1;
-    sequential_merge(a, m, b, n, out, comp);
-    return report;
-  }
-  return run_lanes_with_recovery(
-      exec.resolve_pool(), lanes,
-      [&](unsigned lane) {
-        MergeSlice slice;
-        {
-          obs::Span span("merge.partition", "lane", lane);
-          slice = merge_slice_for_lane(a, m, b, n, lane, lanes, comp);
-        }
-        obs::Span span("merge.segment", "lane", lane);
-        std::size_t i = slice.a_begin;
-        std::size_t j = slice.b_begin;
-        // Same dispatched kernel as the plain merge: a recovered run stays
-        // byte-identical to a clean one whichever kernel is selected.
-        kernels::merge_steps_auto(
-            a, m, b, n, &i, &j,
-            out + static_cast<std::ptrdiff_t>(slice.out_begin), slice.steps,
-            comp);
-      },
-      cfg);
+  RecoveryReport report;
+  detail::parallel_merge_impl(
+      a, m, b, n, out, exec.resolve_threads(), comp,
+      std::span<NoInstrument>{},
+      detail::recovering_runner(exec.resolve_pool(), cfg, report));
+  return report;
 }
 
 /// Convenience vector front-end of the resilient merge.
@@ -267,53 +267,19 @@ RecoveryReport resilient_parallel_merge_sort(T* data, std::size_t n,
   if (n <= 1) return report;
   obs::Span sort_span("sort", "n", n);
   std::vector<T> scratch(n);
-  if (lanes == 1 || n <= lanes * detail::kInsertionSortThreshold) {
-    report.lanes = 1;
-    sequential_merge_sort(data, scratch.data(), n, comp);
-    return report;
-  }
-  ThreadPool& pool = exec.resolve_pool();
-
-  // Phase 1: p block sorts.
-  std::vector<Run> runs(lanes);
-  report.absorb(run_lanes_with_recovery(
-      pool, lanes,
-      [&](unsigned lane) {
-        obs::Span span("sort.block", "lane", lane);
-        const std::size_t begin = lane * n / lanes;
-        const std::size_t end = (lane + 1ull) * n / lanes;
-        runs[lane] = Run{begin, end};
-        sequential_merge_sort(data + begin, scratch.data() + begin,
-                              end - begin, comp);
-      },
-      cfg));
-
-  // Phase 2: flattened merge rounds through the shared round engine, one
-  // recovery scope per round.
-  T* src = data;
-  T* dst = scratch.data();
-  std::uint64_t round = 0;
-  while (runs.size() > 1) {
-    obs::Span::counter("sort.round_index", round++);
-    runs = detail::merge_round_impl(
-        src, dst, runs, lanes, comp, std::span<NoInstrument>{},
-        [&](unsigned l, const std::function<void(unsigned)>& fn) {
-          report.absorb(run_lanes_with_recovery(pool, l, fn, cfg));
-        });
-    std::swap(src, dst);
-  }
+  const auto run_lanes =
+      detail::recovering_runner(exec.resolve_pool(), cfg, report);
+  const T* src = detail::parallel_merge_sort_impl(
+      data, scratch.data(), n, lanes, comp, std::span<NoInstrument>{},
+      run_lanes);
   if (src != data) {
-    report.absorb(run_lanes_with_recovery(
-        pool, lanes,
-        [&](unsigned lane) {
-          obs::Span span("sort.copyback", "lane", lane);
-          const std::size_t begin = lane * n / lanes;
-          const std::size_t end = (lane + 1ull) * n / lanes;
-          // Copy (not move): a re-executed lane must find its source
-          // intact.
-          for (std::size_t i = begin; i < end; ++i) data[i] = src[i];
-        },
-        cfg));
+    run_lanes(lanes, [&](unsigned lane) {
+      obs::Span span("sort.copyback", "lane", lane);
+      const std::size_t begin = lane * n / lanes;
+      const std::size_t end = (lane + 1ull) * n / lanes;
+      // Copy (not move): a re-executed lane must find its source intact.
+      for (std::size_t i = begin; i < end; ++i) data[i] = src[i];
+    });
   }
   return report;
 }
@@ -329,40 +295,19 @@ RecoveryReport resilient_parallel_merge_sort(std::span<T> data,
 }
 
 /// Fault-aware k-way merge: parallel_multiway_merge's lane body (rank
-/// slice, multiway selection, LoserTree) under the recovery engine. Lanes
-/// read const runs and write disjoint [r0, r1) output spans — the Theorem
-/// 14 argument generalised to k inputs.
+/// slice, multiway selection, LoserTree; the pairwise Algorithm 1 path for
+/// two runs) under the recovery engine. Lanes read const runs and write
+/// disjoint output spans — the Theorem 14 argument generalised to k
+/// inputs.
 template <typename T, typename Comp = std::less<>>
 RecoveryReport resilient_parallel_multiway_merge(
     std::span<const std::span<const T>> runs, T* out, Executor exec = {},
     Comp comp = {}, const RecoveryConfig& cfg = {}) {
   RecoveryReport report;
-  std::size_t total = 0;
-  for (const auto& r : runs) total += r.size();
-  if (total == 0) return report;
-  const unsigned lanes = exec.resolve_threads();
-  obs::Span mwm_span("mwm", "n", total);
-  return run_lanes_with_recovery(
-      exec.resolve_pool(), lanes,
-      [&, total](unsigned lane) {
-        const std::size_t r0 = lane * total / lanes;
-        const std::size_t r1 = (lane + 1ull) * total / lanes;
-        if (r0 == r1) return;
-        std::vector<std::size_t> start;
-        {
-          obs::Span span("mwm.select", "lane", lane);
-          start = multiway_select(runs, r0, comp);
-        }
-        obs::Span span("mwm.merge", "lane", lane);
-        std::vector<typename LoserTree<T, Comp>::Cursor> cursors(runs.size());
-        for (std::size_t t = 0; t < runs.size(); ++t) {
-          cursors[t] = {runs[t].data() + start[t],
-                        runs[t].data() + runs[t].size()};
-        }
-        LoserTree<T, Comp> tree(std::move(cursors), comp);
-        tree.pop_n(out + r0, r1 - r0);
-      },
-      cfg);
+  detail::parallel_multiway_merge_impl(
+      runs, out, exec.resolve_threads(), comp, std::span<NoInstrument>{},
+      detail::recovering_runner(exec.resolve_pool(), cfg, report));
+  return report;
 }
 
 }  // namespace mp

@@ -2,21 +2,18 @@
 /// \file sequential_merge.hpp
 /// Sequential merge kernels.
 ///
-/// Three kernels are provided:
+/// Main kernels:
 ///  - merge_steps(): merges exactly `steps` output elements starting from
 ///    given positions in A and B. This is the "(|A|+|B|)/p steps of
 ///    sequential merge" primitive of Algorithm 1 and the "L/p steps"
 ///    primitive of Algorithm 2. Handles either input running out.
 ///  - sequential_merge(): the classic full two-array merge (the paper's
 ///    single-thread baseline for the 6%-overhead remark of Section VI).
-///  - branchless_merge_steps(): ablation variant that replaces the
-///    per-element branch with arithmetic selection; requires both inputs to
-///    have a readable element at all times, so callers pad or fall back to
-///    merge_steps() for the tail. Used by bench/ablation studies only.
 ///
 /// All kernels are stable with A-priority (ties take from A), matching the
 /// Merge Matrix definition M[i,j] = A[i] > B[j].
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <type_traits>
@@ -38,39 +35,38 @@ OutIter merge_steps(IterA a, std::size_t m, IterB b, std::size_t n,
   std::size_t i = *a_pos;
   std::size_t j = *b_pos;
   MP_ASSERT(steps <= (m - i) + (n - j));
-  auto note_compare = [&] {
-    if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-      if (instr) instr->compare();
-    }
-  };
-  auto note_move = [&] {
-    if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-      if (instr) instr->move();
-    }
-  };
-
   std::size_t remaining = steps;
-  // Main loop: both inputs non-empty.
+  // Main loop: both inputs non-empty. Both sides hold at least `safe`
+  // more elements, so the next `safe` steps need no bounds checks.
   while (remaining > 0 && i < m && j < n) {
-    note_compare();
-    if (comp(b[j], a[i])) {
-      *out++ = b[j++];
-    } else {
-      *out++ = a[i++];  // ties take A: stability
+    std::size_t safe = std::min({remaining, m - i, n - j});
+    remaining -= safe;
+    for (; safe > 0; --safe) {
+      if (comp(b[j], a[i])) {
+        *out++ = b[j++];
+      } else {
+        *out++ = a[i++];  // ties take A: stability
+      }
     }
-    note_move();
-    --remaining;
   }
+  // One compare per main-loop step and one move per step, counted once per
+  // call: per-step increments through `instr` turn into memory updates
+  // when the kernel is inlined into a lane body.
+  const std::size_t compares = steps - remaining;
   // Tail: one side exhausted.
   while (remaining > 0 && i < m) {
     *out++ = a[i++];
-    note_move();
     --remaining;
   }
   while (remaining > 0 && j < n) {
     *out++ = b[j++];
-    note_move();
     --remaining;
+  }
+  if constexpr (!std::is_same_v<Instr, NoInstrument>) {
+    if (instr) {
+      instr->compare(compares);
+      instr->move(steps);
+    }
   }
   MP_ASSERT(remaining == 0);
   *a_pos = i;
@@ -93,8 +89,8 @@ OutIter sequential_merge(IterA a, std::size_t m, IterB b, std::size_t n,
 /// The "truly sequential merge" of the paper's Section VI remark: the
 /// textbook two-pointer merge with no step budget and no resumable
 /// positions — the leanest loop a sequential implementation can run.
-/// Algorithm 1 with p = 1 executes merge_steps() instead, which carries a
-/// remaining-steps counter and resumable cursors; the instruction
+/// Algorithm 1 with p = 1 executes kernels::merge_steps_auto() instead,
+/// which carries a remaining-steps counter and resumable cursors; the
 /// difference between the two is what experiment E2 measures (the paper
 /// reports ~6% including OpenMP overhead).
 template <typename IterA, typename IterB, typename OutIter,
@@ -110,33 +106,6 @@ OutIter classic_merge(IterA a, std::size_t m, IterB b, std::size_t n,
   }
   while (i < m) *out++ = a[i++];
   while (j < n) *out++ = b[j++];
-  return out;
-}
-
-/// Branchless inner loop: selects the source with arithmetic on the
-/// comparison result instead of a branch. Only valid while BOTH inputs have
-/// unconsumed elements; the caller must stop `steps` short of either
-/// exhaustion point (parallel_merge's ablation path establishes this from
-/// the partition geometry). Updates positions like merge_steps().
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>>
-OutIter branchless_merge_steps(IterA a, IterB b, std::size_t* a_pos,
-                               std::size_t* b_pos, OutIter out,
-                               std::size_t steps, Comp comp = {}) {
-  std::size_t i = *a_pos;
-  std::size_t j = *b_pos;
-  for (std::size_t s = 0; s < steps; ++s) {
-    const bool take_b = comp(b[j], a[i]);
-    // Read both candidates, keep one: turns the data-dependent branch into
-    // a conditional move the compiler can schedule.
-    const auto av = a[i];
-    const auto bv = b[j];
-    *out++ = take_b ? bv : av;
-    i += take_b ? 0 : 1;
-    j += take_b ? 1 : 0;
-  }
-  *a_pos = i;
-  *b_pos = j;
   return out;
 }
 
@@ -220,21 +189,6 @@ OutIter adaptive_merge(IterA a, std::size_t m, IterB b, std::size_t n,
   while (i < m) *out++ = a[i++];
   while (j < n) *out++ = b[j++];
   return out;
-}
-
-/// Counts how many of the next `steps` path steps are guaranteed safe for
-/// the branchless kernel (i.e. how many can run before either input might
-/// exhaust): min(steps, m - i, n - j) is NOT sufficient in general — the
-/// kernel reads a[i] and b[j] each step, so it is safe exactly while
-/// i < m and j < n, giving min(steps, (m-i) + ... ) conservative bound
-/// min(steps, m - i, n - j).
-inline std::size_t branchless_safe_steps(std::size_t m, std::size_t n,
-                                         std::size_t i, std::size_t j,
-                                         std::size_t steps) {
-  const std::size_t a_left = m - i;
-  const std::size_t b_left = n - j;
-  const std::size_t safe = a_left < b_left ? a_left : b_left;
-  return steps < safe ? steps : safe;
 }
 
 }  // namespace mp

@@ -14,10 +14,11 @@
 /// scheduling becomes work-stealing-ish at a cost of one extra search per
 /// tile.
 ///
-/// The tile boundary search exploits locality: a lane claiming consecutive
-/// tiles reuses its previous end point as a hint (galloping search,
-/// diagonal_intersection_hinted), dropping the per-tile cost from
-/// O(log min(m,n)) to O(log step) when tiles are claimed in order.
+/// The tile boundary search exploits locality: a lane's previous end point
+/// is the exact start of the next tile when the two are adjacent (no
+/// search at all, so one lane costs what a sequential merge does), and a
+/// hint otherwise (galloping search, diagonal_intersection_hinted),
+/// dropping the per-tile cost from O(log min(m,n)) to O(log step).
 
 #include <atomic>
 #include <cstddef>
@@ -27,7 +28,7 @@
 
 #include "core/instrument.hpp"
 #include "core/merge_path.hpp"
-#include "core/sequential_merge.hpp"
+#include "kernels/kernels.hpp"
 #include "util/assert.hpp"
 #include "util/threading.hpp"
 
@@ -110,20 +111,18 @@ void tiled_parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
                           std::span<Instr> instr = {}) {
   MP_CHECK(tile_size >= 1);
   const std::size_t total = m + n;
-  const unsigned lanes = exec.resolve_threads();
+  unsigned lanes = exec.resolve_threads();
   MP_CHECK(instr.empty() || instr.size() >= lanes);
   if (total == 0) return;
   const std::size_t tiles = (total + tile_size - 1) / tile_size;
-  if (lanes == 1 || tiles == 1) {
-    Instr* li = instr.empty() ? nullptr : &instr[0];
-    sequential_merge(a, m, b, n, out, comp, li);
-    return;
-  }
+  if (tiles < lanes) lanes = static_cast<unsigned>(tiles);
 
   std::atomic<std::size_t> next_tile{0};
   exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
-    std::size_t hint = 0;
+    // The lane's cursor: the path point where its previous tile ended.
+    std::size_t i = 0;
+    std::size_t j = 0;
     bool have_hint = false;
     for (;;) {
       const std::size_t tile =
@@ -131,17 +130,15 @@ void tiled_parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
       if (tile >= tiles) break;
       const std::size_t d0 = tile * tile_size;
       const std::size_t d1 = std::min(d0 + tile_size, total);
-      const std::size_t i0 =
-          have_hint
-              ? diagonal_intersection_hinted(a, m, b, n, d0, hint, comp, li)
-              : diagonal_intersection(a, m, b, n, d0, comp, li);
-      std::size_t i = i0;
-      std::size_t j = d0 - i0;
-      merge_steps(a, m, b, n, &i, &j,
-                  out + static_cast<std::ptrdiff_t>(d0), d1 - d0, comp, li);
-      // Consecutive claims are adjacent with high probability: the end of
-      // this tile is the perfect hint for the next one's start.
-      hint = i;
+      if (i + j != d0) {
+        i = have_hint
+                ? diagonal_intersection_hinted(a, m, b, n, d0, i, comp, li)
+                : diagonal_intersection(a, m, b, n, d0, comp, li);
+        j = d0 - i;
+      }
+      kernels::merge_steps_auto(a, m, b, n, &i, &j,
+                                out + static_cast<std::ptrdiff_t>(d0),
+                                d1 - d0, comp, li);
       have_hint = true;
     }
   });

@@ -32,8 +32,6 @@ const char* to_string(Kernel kernel) {
   switch (kernel) {
     case Kernel::kScalar:
       return "scalar";
-    case Kernel::kBranchless:
-      return "branchless";
     case Kernel::kSse4:
       return "sse4";
     case Kernel::kAvx2:
@@ -53,7 +51,6 @@ std::optional<Kernel> parse_kernel(std::string_view name) {
 bool kernel_supported(Kernel kernel) {
   switch (kernel) {
     case Kernel::kScalar:
-    case Kernel::kBranchless:
       return true;
     case Kernel::kSse4:
 #if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
@@ -78,8 +75,6 @@ bool kernel_supported(Kernel kernel) {
 }
 
 Kernel widest_supported() {
-  // kBranchless is deliberately absent: BENCH_5 measured it slower than
-  // scalar, so auto-dispatch never picks it (explicit override only).
   if (kernel_supported(Kernel::kAvx512)) return Kernel::kAvx512;
   if (kernel_supported(Kernel::kAvx2)) return Kernel::kAvx2;
   if (kernel_supported(Kernel::kSse4)) return Kernel::kSse4;
@@ -116,7 +111,7 @@ Kernel resolve_override(const char* value, std::string* warning) {
   if (!parsed) {
     if (warning) {
       *warning = "MP_MERGE_KERNEL='" + std::string(value) +
-                 "' is not a kernel name (scalar|branchless|sse4|avx2|avx512); "
+                 "' is not a kernel name (scalar|sse4|avx2|avx512); "
                  "using " +
                  to_string(widest_supported());
     }

@@ -493,5 +493,58 @@ TEST(RecoveryBackoff, ConfiguredBackoffIsPaidBetweenRetries) {
   EXPECT_GE(elapsed_ms, 50);
 }
 
+// One lane runs inline on the caller in every Merge Path entry point, so
+// p = 1 draws nothing from a pool's fault plan. The serving layer relies on
+// this: after a lane fault it degrades a StreamMerger to one lane and
+// retries the pull until it succeeds.
+TEST(LaneFaults, OneLaneRunsDrawNoPlanDecision) {
+  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
+  const auto input = make_merge_input(Dist::kUniform, 40000, 40000, 0x1a7e);
+  const auto expected = test::reference_merge(input.a, input.b);
+
+  ThreadPool pool(3);
+  fault::FaultPlan plan;
+  plan.fail_from(0, fault::FaultKind::kLaneThrow);  // every lane op throws
+  fault::ScopedInjector injector(pool, plan);
+  const Executor one{&pool, 1};
+
+  // The serve fallback: a parallel pull faults, the one-lane retry does not.
+  StreamMerger<std::int32_t> merger({}, Executor{&pool, 4});
+  merger.push_a(std::span<const std::int32_t>(input.a));
+  merger.push_b(std::span<const std::int32_t>(input.b));
+  merger.close_a();
+  merger.close_b();
+  std::vector<std::int32_t> pulled(merger.available());
+  EXPECT_THROW(merger.pull(std::span<std::int32_t>(pulled)), fault::LaneFault);
+  const std::uint64_t ops = plan.ops_seen();
+  EXPECT_GT(ops, 0u);
+  merger.set_executor(one);
+  EXPECT_EQ(merger.pull(std::span<std::int32_t>(pulled)), pulled.size());
+  EXPECT_EQ(pulled, expected);
+  EXPECT_TRUE(merger.finished());
+
+  // The plain and resilient entry points at p = 1.
+  EXPECT_EQ(parallel_merge(input.a, input.b, one), expected);
+  EXPECT_EQ(resilient_parallel_merge(input.a, input.b, one), expected);
+  std::vector<std::int32_t> sorted(input.a);
+  sorted.insert(sorted.end(), input.b.begin(), input.b.end());
+  std::vector<std::int32_t> plain_sorted(sorted);
+  parallel_merge_sort(std::span<std::int32_t>(plain_sorted), one);
+  EXPECT_EQ(resilient_parallel_merge_sort(std::span<std::int32_t>(sorted),
+                                          one).injected_faults,
+            0u);
+  EXPECT_EQ(plain_sorted, sorted);
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+  const std::vector<std::span<const std::int32_t>> runs{
+      input.a, input.b, std::span<const std::int32_t>(input.a).first(100)};
+  std::vector<std::int32_t> plain_mw(input.a.size() + input.b.size() + 100);
+  std::vector<std::int32_t> resilient_mw(plain_mw.size());
+  parallel_multiway_merge<std::int32_t>(runs, plain_mw.data(), one);
+  resilient_parallel_multiway_merge<std::int32_t>(runs, resilient_mw.data(),
+                                                  one);
+  EXPECT_EQ(plain_mw, resilient_mw);
+  EXPECT_EQ(plan.ops_seen(), ops);
+}
+
 }  // namespace
 }  // namespace mp

@@ -308,11 +308,19 @@ TEST(KernelDispatch, ParseRoundTripsAndRejectsUnknown) {
   EXPECT_FALSE(parse_kernel("auto").has_value());  // env-only spelling
   EXPECT_FALSE(parse_kernel("AVX2").has_value());
   EXPECT_FALSE(parse_kernel("banana").has_value());
+  EXPECT_FALSE(parse_kernel("branchless").has_value());  // deleted kernel
 }
 
-TEST(KernelDispatch, ScalarAndBranchlessAlwaysSupported) {
+TEST(KernelDispatch, IdsArePinned) {
+  // Reported ids (perfbench kernels.selected_id) keep their meaning.
+  EXPECT_EQ(static_cast<int>(Kernel::kScalar), 0);
+  EXPECT_EQ(static_cast<int>(Kernel::kSse4), 2);
+  EXPECT_EQ(static_cast<int>(Kernel::kAvx2), 3);
+  EXPECT_EQ(static_cast<int>(Kernel::kAvx512), 4);
+}
+
+TEST(KernelDispatch, ScalarAlwaysSupported) {
   EXPECT_TRUE(kernel_supported(Kernel::kScalar));
-  EXPECT_TRUE(kernel_supported(Kernel::kBranchless));
 }
 
 TEST(KernelDispatch, SimdSupportRequiresCompiledInTUs) {
@@ -335,20 +343,6 @@ TEST(KernelDispatch, WidestIsOrderedAndSupported) {
   } else {
     EXPECT_EQ(widest, Kernel::kScalar);
   }
-}
-
-TEST(KernelDispatch, BranchlessIsNeverAutoSelected) {
-  // Satellite of the demotion: BENCH_5 measured branchless at 0.89-0.90x
-  // *slower* than scalar, so auto-dispatch must never pick it no matter
-  // which ISA bits the host reports. Explicit override keeps working.
-  EXPECT_NE(widest_supported(), Kernel::kBranchless);
-  std::string warning;
-  EXPECT_NE(detail::resolve_override(nullptr, &warning),
-            Kernel::kBranchless);
-  EXPECT_NE(detail::resolve_override("auto", &warning), Kernel::kBranchless);
-  EXPECT_EQ(detail::resolve_override("branchless", &warning),
-            Kernel::kBranchless);
-  EXPECT_TRUE(warning.empty());
 }
 
 TEST(KernelDispatch, SetKernelRejectsUnsupportedAndKeepsSelection) {
@@ -374,13 +368,13 @@ TEST(KernelDispatch, EnvOverrideResolution) {
   EXPECT_EQ(detail::resolve_override("auto", &warning), widest_supported());
   EXPECT_TRUE(warning.empty());
   EXPECT_EQ(detail::resolve_override("scalar", &warning), Kernel::kScalar);
-  EXPECT_EQ(detail::resolve_override("branchless", &warning),
-            Kernel::kBranchless);
   EXPECT_TRUE(warning.empty());
   // Unknown names clamp to the widest kernel and explain themselves.
-  EXPECT_EQ(detail::resolve_override("banana", &warning), widest_supported());
-  EXPECT_NE(warning.find("banana"), std::string::npos);
-  warning.clear();
+  for (const char* unknown : {"banana", "branchless"}) {
+    EXPECT_EQ(detail::resolve_override(unknown, &warning), widest_supported());
+    EXPECT_NE(warning.find(unknown), std::string::npos);
+    warning.clear();
+  }
   if (!kernel_supported(Kernel::kAvx2)) {
     // Known-but-unsupported names clamp too (other-host configs copied
     // into an environment file must not crash the binary).
@@ -391,9 +385,9 @@ TEST(KernelDispatch, EnvOverrideResolution) {
 
 TEST(KernelDispatch, BannerNamesSelectionAndIsa) {
   KernelGuard guard;
-  ASSERT_TRUE(set_kernel(Kernel::kBranchless));
+  ASSERT_TRUE(set_kernel(Kernel::kScalar));
   const std::string banner = kernel_banner();
-  EXPECT_NE(banner.find("kernel branchless"), std::string::npos) << banner;
+  EXPECT_NE(banner.find("kernel scalar"), std::string::npos) << banner;
   EXPECT_NE(banner.find("isa "), std::string::npos) << banner;
 }
 
@@ -521,10 +515,20 @@ TEST(KernelHotPaths, ParallelMergeMatchesReference) {
   for (Kernel kernel : supported_kernels()) {
     KernelGuard guard;
     ASSERT_TRUE(set_kernel(kernel));
-    std::vector<std::int32_t> out(want.size());
-    parallel_merge(input.a.data(), input.a.size(), input.b.data(),
-                   input.b.size(), out.data(), Executor{nullptr, 4});
-    ASSERT_EQ(out, want) << to_string(kernel);
+    // p = 1 runs the same lane body, hence the same forced kernel.
+    for (unsigned p : {1u, 4u}) {
+      std::vector<std::int32_t> out(want.size());
+      parallel_merge(input.a.data(), input.a.size(), input.b.data(),
+                     input.b.size(), out.data(), Executor{nullptr, p});
+      ASSERT_EQ(out, want) << to_string(kernel) << " p=" << p;
+    }
+    // The tiled merge's lanes take the same kernel entry point; an odd
+    // tile size puts tile edges off every vector width.
+    std::vector<std::int32_t> tiled(want.size());
+    tiled_parallel_merge(input.a.data(), input.a.size(), input.b.data(),
+                         input.b.size(), tiled.data(), 1001,
+                         Executor{nullptr, 4});
+    ASSERT_EQ(tiled, want) << "tiled " << to_string(kernel);
   }
 }
 

@@ -242,22 +242,33 @@ TEST_F(ObsTest, ThreadPoolJobEmitsLaneSpans) {
 }
 
 TEST_F(ObsTest, ParallelMergeEmitsPartitionAndSegmentSpans) {
+  // p = 1 is Algorithm 1 with one lane, not a separate sequential path:
+  // every lane, lane 0 of one included, traces its partition search and
+  // its merge segment.
   if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   std::vector<int> a(4096), b(4096), out(8192);
   for (int i = 0; i < 4096; ++i) {
     a[static_cast<std::size_t>(i)] = 2 * i;
     b[static_cast<std::size_t>(i)] = 2 * i + 1;
   }
-  obs::arm_tracing();
   ThreadPool pool(3);
-  parallel_merge(a.data(), a.size(), b.data(), b.size(), out.data(),
-                 Executor{&pool, 4});
-  obs::disarm_tracing();
-  const auto events = obs::trace_snapshot();
-  EXPECT_EQ(events_named(events, "merge").size(), 1u);
-  EXPECT_EQ(events_named(events, "merge.partition").size(), 4u);
-  EXPECT_EQ(events_named(events, "merge.segment").size(), 4u);
-  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  for (unsigned p : {1u, 4u}) {
+    obs::arm_tracing();
+    parallel_merge(a.data(), a.size(), b.data(), b.size(), out.data(),
+                   Executor{&pool, p});
+    obs::disarm_tracing();
+    const auto events = obs::trace_snapshot();
+    EXPECT_EQ(events_named(events, "merge").size(), 1u) << "p=" << p;
+    std::set<std::uint64_t> lanes;
+    for (unsigned lane = 0; lane < p; ++lane) lanes.insert(lane);
+    for (const char* name : {"merge.partition", "merge.segment"}) {
+      std::set<std::uint64_t> seen;
+      for (const auto& e : events_named(events, name)) seen.insert(e.arg);
+      EXPECT_EQ(events_named(events, name).size(), p) << name << " p=" << p;
+      EXPECT_EQ(seen, lanes) << name << " p=" << p;
+    }
+    EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  }
 }
 
 TEST_F(ObsTest, MultiThreadedRecordingStress) {

@@ -1,16 +1,23 @@
 // Tests for core/parallel_merge.hpp (Algorithm 1): correctness against the
 // stable reference across distributions, shapes and thread counts;
-// stability; instrumentation invariants (perfect balance, O(N + p log N)
-// work); exception safety; and the OpenMP backend when available.
+// stability; every entry point built on the same lane bodies (resilient,
+// multiway, tiled, sort) at the sizes around the lane count;
+// instrumentation invariants (perfect balance, O(N + p log N) work);
+// exception safety.
 
 #include "core/parallel_merge.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
+#include "core/multiway_merge.hpp"
+#include "core/recovery.hpp"
+#include "core/tiled_merge.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
 
@@ -31,6 +38,112 @@ TEST_P(ParallelMergeCorrectness, MatchesReference) {
     parallel_merge(input.a.data(), m, input.b.data(), n, out.data(), exec);
     EXPECT_EQ(out, test::reference_merge(input.a, input.b))
         << to_string(dist) << " m=" << m << " n=" << n << " p=" << threads;
+  }
+}
+
+/// Records carrying `keys` with unique payloads first, first+1, ...
+std::vector<KeyedRecord> with_payloads(const std::vector<std::int32_t>& keys,
+                                       std::uint32_t first) {
+  std::vector<KeyedRecord> out(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    out[i] = {keys[i], first + static_cast<std::uint32_t>(i)};
+  return out;
+}
+
+/// Runs `fn` on a fresh output buffer of `size` records and returns it.
+template <typename Fn>
+std::vector<KeyedRecord> produced(std::size_t size, Fn&& fn) {
+  std::vector<KeyedRecord> out(size);
+  fn(out.data());
+  return out;
+}
+
+TEST_P(ParallelMergeCorrectness, EdgeSizesEveryEntryPoint) {
+  // Sizes around the lane count, where degenerate inputs collapse to one
+  // lane: every entry point, plain and resilient, stays byte-exact
+  // against the std:: stable references, payloads included.
+  const auto [dist, p] = GetParam();
+  const Executor exec{nullptr, p};
+  using Runs = std::vector<std::span<const KeyedRecord>>;
+  for (const std::size_t total : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{p} - 1, std::size_t{p},
+                                  std::size_t{p} + 1}) {
+    for (std::size_t m = 0; m <= total; ++m) {
+      const std::size_t n = total - m;
+      const auto keys = make_merge_input(dist, m, n, 211 + 37 * total + m);
+      const auto a = with_payloads(keys.a, 1);
+      const auto b = with_payloads(keys.b, 1 + static_cast<std::uint32_t>(m));
+      std::vector<KeyedRecord> want(total);
+      std::merge(a.begin(), a.end(), b.begin(), b.end(), want.begin());
+      const std::string at = to_string(dist) + " p=" + std::to_string(p) +
+                             " m=" + std::to_string(m) +
+                             " n=" + std::to_string(n);
+
+      EXPECT_EQ(produced(total,
+                         [&](KeyedRecord* out) {
+                           parallel_merge(a.data(), m, b.data(), n, out, exec);
+                         }),
+                want)
+          << "parallel_merge " << at;
+      EXPECT_EQ(produced(total,
+                         [&](KeyedRecord* out) {
+                           resilient_parallel_merge(a.data(), m, b.data(), n,
+                                                    out, exec);
+                         }),
+                want)
+          << "resilient_parallel_merge " << at;
+      EXPECT_EQ(produced(total,
+                         [&](KeyedRecord* out) {
+                           tiled_parallel_merge(a.data(), m, b.data(), n, out,
+                                                1, exec);
+                         }),
+                want)
+          << "tiled_parallel_merge " << at;
+
+      // Splitting B at its midpoint gives a third run whose 3-way merge
+      // (lower run wins ties) is the same stable sequence.
+      const std::span<const KeyedRecord> bs(b);
+      const Runs two{a, b};
+      const Runs three{a, bs.first(n / 2), bs.subspan(n / 2)};
+      for (const Runs* runs : {&two, &three}) {
+        const std::span<const std::span<const KeyedRecord>> view(*runs);
+        const std::string k = std::to_string(runs->size()) + " runs ";
+        EXPECT_EQ(produced(total,
+                           [&](KeyedRecord* out) {
+                             parallel_multiway_merge(view, out, exec);
+                           }),
+                  want)
+            << "parallel_multiway_merge " << k << at;
+        EXPECT_EQ(produced(total,
+                           [&](KeyedRecord* out) {
+                             resilient_parallel_multiway_merge(view, out,
+                                                               exec);
+                           }),
+                  want)
+            << "resilient_parallel_multiway_merge " << k << at;
+      }
+    }
+  }
+
+  // The sort's one-lane cut-off is a full base-case run per lane.
+  constexpr std::size_t kRun = detail::kInsertionSortThreshold;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{p} - 1, std::size_t{p},
+        std::size_t{p} + 1, kRun * p, kRun * p + 1}) {
+    const auto keys = make_merge_input(dist, n / 2, n - n / 2, 307 + n);
+    auto data = with_payloads(keys.a, 1);
+    const auto tail =
+        with_payloads(keys.b, 1 + static_cast<std::uint32_t>(keys.a.size()));
+    data.insert(data.end(), tail.rbegin(), tail.rend());
+    auto want = data;
+    std::stable_sort(want.begin(), want.end());
+    auto plain = data;
+    parallel_merge_sort(plain.data(), n, exec);
+    EXPECT_EQ(plain, want) << "parallel_merge_sort p=" << p << " n=" << n;
+    auto resilient = data;
+    resilient_parallel_merge_sort(resilient.data(), n, exec);
+    EXPECT_EQ(resilient, want)
+        << "resilient_parallel_merge_sort p=" << p << " n=" << n;
   }
 }
 
@@ -168,18 +281,6 @@ TEST(ParallelMerge, WorkComplexityBound) {
     EXPECT_LE(max_lane_steps, (2 * n) / p + 1);
   }
 }
-
-#ifdef _OPENMP
-TEST(ParallelMergeOpenMP, MatchesReference) {
-  for (Dist dist : kAllDists) {
-    const auto input = make_merge_input(dist, 2000, 1500, 43);
-    std::vector<std::int32_t> out(3500);
-    parallel_merge_openmp(input.a.data(), 2000, input.b.data(), 1500,
-                          out.data(), 4);
-    EXPECT_EQ(out, test::reference_merge(input.a, input.b)) << to_string(dist);
-  }
-}
-#endif
 
 }  // namespace
 }  // namespace mp

@@ -1,6 +1,6 @@
 // Tests for core/sequential_merge.hpp: the bounded-step kernel, the full
-// sequential merge, the branchless ablation kernel, stability, custom
-// comparators and instrumentation counts.
+// sequential merge, the adaptive merge, stability, custom comparators and
+// instrumentation counts.
 
 #include "core/sequential_merge.hpp"
 
@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <string>
 
-#include "kernels/kernels.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
 
@@ -120,24 +119,6 @@ TEST(MergeSteps, InstrumentCounts) {
   EXPECT_LE(ops.compares, 2000u);
 }
 
-TEST(BranchlessMerge, MatchesGuardedKernelWithinSafeRegion) {
-  for (Dist dist : {Dist::kUniform, Dist::kInterleaved, Dist::kAllEqual,
-                    Dist::kClustered}) {
-    const auto input = make_merge_input(dist, 400, 400, 51);
-    const auto expected = test::reference_merge(input.a, input.b);
-
-    std::vector<std::int32_t> out(800);
-    std::size_t i = 0, j = 0;
-    // The intended usage pattern: the bounded branchless front, then the
-    // guarded kernel for whatever tail it could not prove safe.
-    const std::size_t written = kernels::branchless_merge_bounded(
-        input.a.data(), 400, input.b.data(), 400, &i, &j, out.data(), 800);
-    merge_steps(input.a.data(), 400, input.b.data(), 400, &i, &j,
-                out.data() + written, 800 - written);
-    EXPECT_EQ(out, expected) << to_string(dist);
-  }
-}
-
 TEST(AdaptiveMerge, MatchesReferenceOnAllDistributions) {
   for (Dist dist : kAllDists) {
     constexpr std::pair<std::size_t, std::size_t> kShapes[] = {
@@ -190,13 +171,6 @@ TEST(AdaptiveMerge, GallopingWinsOnRunStructuredInput) {
               inter.b.size(), &i, &j, out.data(), 1 << 15, std::less<>{},
               &c_ops);
   EXPECT_LT(a_ops.compares, 3 * c_ops.compares);
-}
-
-TEST(BranchlessMerge, SafeStepsNeverExceedsEitherRemainder) {
-  EXPECT_EQ(branchless_safe_steps(10, 10, 0, 0, 100), 10u);
-  EXPECT_EQ(branchless_safe_steps(10, 10, 9, 0, 100), 1u);
-  EXPECT_EQ(branchless_safe_steps(10, 10, 10, 0, 100), 0u);
-  EXPECT_EQ(branchless_safe_steps(10, 10, 3, 8, 1), 1u);
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ using namespace mp;
       "               unrecoverable (full restart)\n"
       "kernel selection (any command):\n"
       "  --kernel K             force the per-lane merge kernel, K in\n"
-      "                         scalar|branchless|sse4|avx2|avx512 (default: the\n"
+      "                         scalar|sse4|avx2|avx512 (default: the\n"
       "                         widest ISA the host supports)\n"
       "observability (any command):\n"
       "  --trace <file.json>    write a Chrome/Perfetto trace of the run\n"
@@ -180,7 +180,7 @@ Options parse(int argc, char** argv, int first) {
       if (++i >= argc) usage();
       const auto kernel = kernels::parse_kernel(argv[i]);
       if (!kernel) {
-        std::cerr << "--kernel expects scalar|branchless|sse4|avx2|avx512, got '"
+        std::cerr << "--kernel expects scalar|sse4|avx2|avx512, got '"
                   << argv[i] << "'\n";
         usage();
       }
