@@ -55,13 +55,6 @@ KNOWN_NAMES = {
     "pool.recover", "pool.lane_fault", "pool.hedge", "pool.fallback",
     # two-array merge (core)
     "merge", "merge.partition", "merge.segment",
-    # recursive splitting on the work-stealing scheduler
-    "merge.rec", "sort.rec",
-    # work-stealing task scheduler (sched.spawn / sched.steal are both
-    # instants and counters; sched.max_depth is a counter; sched.idle wraps
-    # a worker's condvar sleep)
-    "sched.run", "sched.task", "sched.spawn", "sched.steal",
-    "sched.max_depth", "sched.idle",
     # flight recorder: instant marking the moment recovery degraded
     "flight.degraded",
     # segmented (cache-aware) merge
@@ -174,8 +167,8 @@ def check_trace(path: str, min_events: int,
     # Spans on one thread must nest: a span starting inside another must
     # also end inside it. The exporter sorts ties parent-first, so a simple
     # stack sweep suffices. The same sweep measures the deepest nesting
-    # (for --min-span-depth: a trace of a nested fork-join run must show
-    # spans inside spans, or the scheduler instrumentation regressed).
+    # (for --min-span-depth: a traced sort must show its phase spans
+    # inside the top-level span, or the instrumentation regressed).
     max_depth = 0
     for tid, spans in spans_by_tid.items():
         stack = []
@@ -190,7 +183,7 @@ def check_trace(path: str, min_events: int,
             max_depth = max(max_depth, len(stack))
     if min_span_depth > 0 and max_depth < min_span_depth:
         fail(f"{path}: deepest span nesting is {max_depth}, expected at "
-             f"least {min_span_depth} (nested fork-join spans missing?)")
+             f"least {min_span_depth} (nested phase spans missing?)")
 
     names = sorted({e["name"] for e in payload})
     if require_known_names:
@@ -302,8 +295,7 @@ def check_traceprof(path: str) -> None:
     if not workers:
         fail(f"{path}: no per-worker rows")
     for worker in workers:
-        for key in ("tid", "busy_ns", "idle_ns", "sleep_ns", "tasks",
-                    "steals", "spawns"):
+        for key in ("tid", "busy_ns", "idle_ns"):
             if key not in worker:
                 fail(f"{path}: worker row missing {key!r}: {worker}")
         if worker["busy_ns"] + worker["idle_ns"] > doc["wall_ns"] * 1.001 + 1:
@@ -324,7 +316,7 @@ def main() -> None:
                         help="reject event names outside the span taxonomy")
     parser.add_argument("--min-span-depth", type=int, default=0,
                         help="minimum nesting depth the span tree must "
-                             "reach (nested fork-join traces are > 1)")
+                             "reach (a traced sort nests phase spans, so > 1)")
     parser.add_argument("--flight", action="store_true",
                         help="require the trace to be a flight-recorder "
                              "snapshot (otherData.flight_recorder)")

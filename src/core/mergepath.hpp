@@ -34,7 +34,6 @@
 #include "core/multiway_merge.hpp"    // IWYU pragma: export
 #include "core/parallel_merge.hpp"    // IWYU pragma: export
 #include "core/recovery.hpp"          // IWYU pragma: export
-#include "core/recursive_merge.hpp"   // IWYU pragma: export
 #include "core/segmented_merge.hpp"   // IWYU pragma: export
 #include "core/sequential_merge.hpp"  // IWYU pragma: export
 #include "core/set_ops.hpp"           // IWYU pragma: export

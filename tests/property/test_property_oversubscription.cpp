@@ -19,7 +19,6 @@
 #include "../test_support.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
-#include "util/tasksched.hpp"
 #include "util/threading.hpp"
 
 namespace mp {
@@ -101,13 +100,11 @@ TEST(Oversubscription, AlternatingLaneCountsReusePoolCleanly) {
 #endif
 
 // threading.hpp: "Nested invocation from inside a lane is rejected with
-// MP_CHECK." MP_CHECK aborts, so this is a death test. It documents the
-// *ThreadPool* contract only — the work-stealing TaskScheduler supports
-// nesting natively (positive test below, full stress in
-// test_property_workstealing.cpp); use that when you need fork-join
-// inside a lane. The nested call must request >= 2 lanes on a pool with
-// workers — the single-lane / zero-worker path legitimately runs inline
-// instead.
+// MP_CHECK." MP_CHECK aborts, so this is a death test. ThreadPool is the
+// only executor: no algorithm forks inside a lane, so nesting is a caller
+// bug, not a missing feature. The nested call must request >= 2 lanes on
+// a pool with workers — the single-lane / zero-worker path legitimately
+// runs inline instead.
 TEST(Oversubscription, NestedForkJoinIsRejected) {
 #ifdef MP_TSAN_ENABLED
   GTEST_SKIP() << "death tests fork; unreliable under TSan";
@@ -123,50 +120,6 @@ TEST(Oversubscription, NestedForkJoinIsRejected) {
       },
       "check failed");
 #endif
-}
-
-// What PR 1 could only forbid, the work-stealing scheduler makes legal:
-// the same shape — fork-join inside a parallel region — composed through
-// TaskScheduler::par_do instead of a nested pool job. A lane that needs
-// to subdivide further calls par_merge_recursive (or par_do directly)
-// from inside sched.run(); deeper stress lives in
-// test_property_workstealing.cpp.
-TEST(Oversubscription, NestedForkJoinWorksOnTaskScheduler) {
-  TaskScheduler sched(2);
-  const auto input = make_merge_input(Dist::kInterleaved, 30000, 30000, 314);
-  const auto expected = test::reference_merge(input.a, input.b);
-
-  std::vector<std::int32_t> out(input.a.size() + input.b.size());
-  std::atomic<unsigned> inner_jobs{0};
-  sched.run([&] {
-    // Nested fork-join: par_do at depth 1 forks two par_merge_recursive
-    // calls (each itself a par_do tree over the shared deques).
-    const std::size_t half_a = input.a.size() / 2;
-    // Split point must respect key order across the seam: merge A's low
-    // half with the B-prefix of everything below A[half_a], rest with rest.
-    const auto b_split = static_cast<std::size_t>(
-        std::lower_bound(input.b.begin(), input.b.end(), input.a[half_a]) -
-        input.b.begin());
-    RecursiveConfig cfg;
-    cfg.scheduler = &sched;
-    cfg.merge_grain = 1024;
-    TaskScheduler::par_do(
-        [&] {
-          par_merge_recursive(input.a.data(), half_a, input.b.data(), b_split,
-                              out.data(), cfg);
-          inner_jobs.fetch_add(1, std::memory_order_relaxed);
-        },
-        [&] {
-          par_merge_recursive(input.a.data() + half_a,
-                              input.a.size() - half_a,
-                              input.b.data() + b_split,
-                              input.b.size() - b_split,
-                              out.data() + half_a + b_split, cfg);
-          inner_jobs.fetch_add(1, std::memory_order_relaxed);
-        });
-  });
-  EXPECT_EQ(inner_jobs.load(), 2u);
-  ASSERT_EQ(out, expected);
 }
 
 }  // namespace

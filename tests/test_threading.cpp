@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "util/tasksched.hpp"
 
 namespace mp {
 namespace {
@@ -299,72 +298,6 @@ TEST(Executor, ZeroThreadsMeansPoolWidth) {
   ThreadPool pool(3);
   Executor exec{&pool, 0};
   EXPECT_EQ(exec.resolve_threads(), 4u);  // workers + caller
-}
-
-// ---- TaskScheduler basics (full stress in tests/property/) ----------------
-
-TEST(TaskSchedulerBasics, RunExecutesRootAndParDoRunsBothHalves) {
-  TaskScheduler sched(2);
-  EXPECT_EQ(sched.workers(), 2u);
-  EXPECT_EQ(sched.slots(), 2u + TaskScheduler::kExternalSlots);
-  int f = 0, g = 0;
-  sched.run([&] {
-    EXPECT_TRUE(TaskScheduler::in_task());
-    EXPECT_LT(TaskScheduler::current_slot(), sched.slots());
-    TaskScheduler::par_do([&] { f = 1; }, [&] { g = 1; });
-  });
-  EXPECT_FALSE(TaskScheduler::in_task());
-  EXPECT_EQ(f, 1);
-  EXPECT_EQ(g, 1);
-}
-
-TEST(TaskSchedulerBasics, NegativeWorkerCountSizesToHost) {
-  TaskScheduler sched;  // -1: hardware_concurrency() - 1, floor 0
-  EXPECT_GE(sched.workers() + 1, 1u);
-  std::atomic<int> ran{0};
-  sched.run([&] {
-    TaskScheduler::par_do([&] { ran.fetch_add(1); },
-                          [&] { ran.fetch_add(1); });
-  });
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(TaskSchedulerBasics, RootExceptionPropagatesAndPoolSurvives) {
-  TaskScheduler sched(1);
-  EXPECT_THROW(sched.run([] { throw std::runtime_error("boom"); }),
-               std::runtime_error);
-  int ok = 0;
-  sched.run([&] { ok = 1; });
-  EXPECT_EQ(ok, 1);
-}
-
-TEST(TaskSchedulerBasics, StatsCountSpawnsAndReset) {
-  TaskScheduler sched(2);
-  sched.reset_stats();
-  std::atomic<int> leaves{0};
-  sched.run([&] {
-    TaskScheduler::par_do(
-        [&] {
-          TaskScheduler::par_do([&] { leaves.fetch_add(1); },
-                                [&] { leaves.fetch_add(1); });
-        },
-        [&] { leaves.fetch_add(1); });
-  });
-  EXPECT_EQ(leaves.load(), 3);
-  const auto st = sched.stats();
-  EXPECT_EQ(st.spawns, 2u);
-  EXPECT_GE(st.max_depth, 2u);
-  sched.reset_stats();
-  EXPECT_EQ(sched.stats().spawns, 0u);
-}
-
-TEST(TaskSchedulerBasics, SharedSchedulerIsAProcessSingleton) {
-  TaskScheduler& a = TaskScheduler::shared();
-  TaskScheduler& b = TaskScheduler::shared();
-  EXPECT_EQ(&a, &b);
-  int ran = 0;
-  a.run([&] { ran = 1; });
-  EXPECT_EQ(ran, 1);
 }
 
 }  // namespace
