@@ -39,8 +39,11 @@
 ///     supported kernel; MP_MERGE_KERNEL=
 ///     scalar|sse4|avx2|avx512 or the harness/tool --kernel
 ///     flag overrides it.
-///   - call time: instrumented merges (instr != nullptr) stay scalar so
-///     PRAM op counts keep meaning one compare/move per path step.
+///   - call time: instrumented merges (instr != nullptr) run the same
+///     kernel. Each vector step is a both-inputs-non-empty step, which is
+///     exactly what merge_steps() counts as a compare, so the vector
+///     loop's `written` adds `written` compares and `written` moves and
+///     the per-lane OpCounts equal the scalar kernel's on every host.
 
 #include <bit>
 #include <cstddef>
@@ -272,8 +275,8 @@ inline constexpr bool use_vector_merge_v = [] {
 /// Drop-in replacement for merge_steps() at the wiring points: same
 /// signature, same contract, byte-identical output and cursor updates.
 /// Routes the front of the merge through the selected kernel when the
-/// compile-time trait admits it and the call is uninstrumented, then
-/// always finishes with merge_steps() for the tail.
+/// compile-time trait admits it, then always finishes with merge_steps()
+/// for the tail. `instr` receives the scalar kernel's counts.
 template <typename IterA, typename IterB, typename OutIter,
           typename Comp = std::less<>, typename Instr = NoInstrument>
 OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
@@ -281,7 +284,7 @@ OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
                          std::size_t steps, Comp comp = {},
                          Instr* instr = nullptr) {
   if constexpr (use_vector_merge_v<IterA, IterB, OutIter, Comp>) {
-    if (instr == nullptr && steps > 0) {
+    if (steps > 0) {
       const Kernel kind = selected_kernel();
       if (kind != Kernel::kScalar) {
         using T = std::remove_cv_t<std::iter_value_t<OutIter>>;
@@ -292,6 +295,12 @@ OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
             kind, pa, m, pb, n, a_pos, b_pos, po, steps);
         out += static_cast<std::ptrdiff_t>(written);
         steps -= written;
+        if constexpr (!std::is_same_v<Instr, NoInstrument>) {
+          if (instr) {
+            instr->compare(written);
+            instr->move(written);
+          }
+        }
       }
     }
   }

@@ -24,7 +24,12 @@
 ///     --kernel scalar runs, MERGEPATH_SIMD=OFF builds and
 ///     non-x86 hosts keep the insertion-sort base case, byte for byte.
 ///   - call time: instrumented sorts (instr != nullptr) keep insertion
-///     sort so PRAM op counts retain their per-step meaning.
+///     sort. A network's fixed compare-exchange count differs from
+///     insertion sort's data-dependent one, so counting the network
+///     would make the PRAM op counts (src/pram, the fig_sort and
+///     table_complexity model columns) depend on the host ISA. The
+///     merges above the base case run the dispatched kernel either way
+///     (kernels.hpp derives their counts from the cursor deltas).
 /// Either path produces identical bytes for the admitted types; only the
 /// instruction stream differs.
 
@@ -146,27 +151,32 @@ void sort_small_network(T* data, std::size_t n, Comp comp) {
 }
 
 /// The insertion-sort fallback, byte- and op-count-identical to the
-/// pre-network base case (instrumented runs depend on that).
+/// pre-network base case (instrumented runs depend on that). One compare
+/// per probe, one move per shift and per placement, counted in locals
+/// and added to `instr` once per call, as merge_steps() does: per-step
+/// increments through `instr` would write the caller's per-lane OpCounts
+/// array, whose lanes share cache lines.
 template <typename T, typename Comp, typename Instr>
 void insertion_sort_fallback(T* data, std::size_t n, Comp comp,
                              Instr* instr) {
+  std::size_t compares = 0;
+  std::size_t moves = 0;
   for (std::size_t i = 1; i < n; ++i) {
     T value = std::move(data[i]);
     std::size_t j = i;
     while (j > 0) {
-      if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-        if (instr) instr->compare();
-      }
+      ++compares;
       if (!comp(value, data[j - 1])) break;
       data[j] = std::move(data[j - 1]);
-      if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-        if (instr) instr->move();
-      }
       --j;
     }
     data[j] = std::move(value);
-    if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-      if (instr) instr->move();
+    moves += i - j + 1;
+  }
+  if constexpr (!std::is_same_v<Instr, NoInstrument>) {
+    if (instr) {
+      instr->compare(compares);
+      instr->move(moves);
     }
   }
 }

@@ -15,6 +15,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <list>
 #include <random>
@@ -28,19 +29,8 @@
 namespace mp::kernels {
 namespace {
 
-/// Saves the selected kernel and restores it on scope exit, so a test
-/// that forces a kernel cannot leak the choice into later tests.
-struct KernelGuard {
-  Kernel saved = selected_kernel();
-  ~KernelGuard() { set_kernel(saved); }
-};
-
-std::vector<Kernel> supported_kernels() {
-  std::vector<Kernel> out;
-  for (Kernel k : kAllKernels)
-    if (kernel_supported(k)) out.push_back(k);
-  return out;
-}
+using test::KernelGuard;
+using test::supported_kernels;
 
 // Order-preserving widenings of the int32 generator output, so one
 // generator covers all four vectorized key types. The sign-bit flip makes
@@ -279,20 +269,59 @@ TEST(KernelEquivalence, PartialBudgetsAndResume) {
   }
 }
 
-TEST(KernelEquivalence, InstrumentedCallsStayScalar) {
-  // PRAM op counts model one compare/move per path step; the vector path
-  // would falsify them, so instr != nullptr must force the scalar kernel.
-  const auto input = make_merge_input(Dist::kUniform, 500, 500, 0x0b5);
-  KernelGuard guard;
-  ASSERT_TRUE(set_kernel(widest_supported()));
-  std::vector<std::int32_t> out(1000);
-  OpCounts ops;
-  std::size_t i = 0, j = 0;
-  merge_steps_auto(input.a.data(), 500, input.b.data(), 500, &i, &j,
-                   out.data(), 1000, std::less<>{}, &ops);
-  EXPECT_EQ(ops.moves, 1000u);
-  EXPECT_GE(ops.compares, 500u);
-  EXPECT_EQ(out, test::reference_merge(input.a, input.b));
+/// Merges (a, b) as a chain of instrumented merge_steps_auto() calls with
+/// the given step budgets, resuming from the saved cursors, once under a
+/// forced kScalar and once under `kernel`: output bytes, final cursors,
+/// compares and moves must all match.
+template <typename T>
+void expect_scalar_counts(const std::vector<T>& a, const std::vector<T>& b,
+                          Kernel kernel,
+                          std::initializer_list<std::size_t> budgets) {
+  struct Run {
+    std::vector<T> out;
+    std::size_t i = 0, j = 0;
+    OpCounts ops;
+  };
+  const auto run = [&](Kernel forced) {
+    KernelGuard guard;
+    EXPECT_TRUE(set_kernel(forced));
+    Run r;
+    for (std::size_t steps : budgets) {
+      const std::size_t done = r.out.size();
+      r.out.resize(done + steps);
+      merge_steps_auto(a.data(), a.size(), b.data(), b.size(), &r.i, &r.j,
+                       r.out.data() + done, steps, std::less<>{}, &r.ops);
+    }
+    return r;
+  };
+  const Run want = run(Kernel::kScalar);
+  const Run got = run(kernel);
+  ASSERT_EQ(got.out, want.out);
+  EXPECT_EQ(got.i, want.i);
+  EXPECT_EQ(got.j, want.j);
+  EXPECT_EQ(got.ops.compares, want.ops.compares);
+  EXPECT_EQ(got.ops.moves, want.ops.moves);
+}
+
+TEST(KernelEquivalence, InstrumentedCallsMatchScalarCounts) {
+  // Instrumented calls run the dispatched kernel. Every vector step is a
+  // both-inputs-non-empty step, which is what the scalar kernel counts as
+  // a compare, so the derived counts must equal the scalar kernel's
+  // exactly: one merge in one call, and one merge split across a 153 +
+  // 167-step call pair that resumes mid-window.
+  for (Kernel kernel : supported_kernels()) {
+    for (Dist dist : kAllDists) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(kernel) << " " << to_string(dist));
+      const auto full = make_merge_input(dist, 500, 373, 0x0b5);
+      expect_scalar_counts(full.a, full.b, kernel, {873});
+      expect_scalar_counts(as_i64(full.a), as_i64(full.b), kernel, {873});
+      const auto split = make_merge_input(dist, 160, 160, 0x5b1);
+      expect_scalar_counts(split.a, split.b, kernel, {153, 167});
+      expect_scalar_counts(as_i64(split.a), as_i64(split.b), kernel,
+                           {153, 167});
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

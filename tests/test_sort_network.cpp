@@ -21,22 +21,14 @@
 
 #include "core/instrument.hpp"
 #include "core/merge_sort.hpp"
+#include "test_support.hpp"
 #include "util/data_gen.hpp"
 
 namespace mp::kernels {
 namespace {
 
-struct KernelGuard {
-  Kernel saved = selected_kernel();
-  ~KernelGuard() { set_kernel(saved); }
-};
-
-std::vector<Kernel> supported_kernels() {
-  std::vector<Kernel> out;
-  for (Kernel k : kAllKernels)
-    if (kernel_supported(k)) out.push_back(k);
-  return out;
-}
+using test::KernelGuard;
+using test::supported_kernels;
 
 // ---------------------------------------------------------------------------
 // The networks themselves, via the 0-1 principle: a comparator network
@@ -194,6 +186,26 @@ TEST(SortSmallAuto, InstrumentedCallsKeepInsertionSortCounts) {
   EXPECT_EQ(data, direct);
   EXPECT_EQ(ops.compares, want_ops.compares);
   EXPECT_EQ(ops.moves, want_ops.moves);
+}
+
+TEST(SortSmallAuto, InsertionSortCountsArePinned) {
+  // The closed forms of the base-case counts: one compare per probe, one
+  // move per shift and one per placement. Sorted input probes once per
+  // key; reversed input shifts every pair.
+  std::vector<std::int32_t> sorted(24), reversed(24);
+  for (std::int32_t i = 0; i < 24; ++i) {
+    sorted[static_cast<std::size_t>(i)] = i;
+    reversed[static_cast<std::size_t>(i)] = 23 - i;
+  }
+  OpCounts sorted_ops, reversed_ops;
+  sort_small_auto(sorted.data(), sorted.size(), std::less<>{}, &sorted_ops);
+  sort_small_auto(reversed.data(), reversed.size(), std::less<>{},
+                  &reversed_ops);
+  EXPECT_EQ(reversed, sorted);
+  EXPECT_EQ(sorted_ops.compares, 23u);
+  EXPECT_EQ(sorted_ops.moves, 23u);
+  EXPECT_EQ(reversed_ops.compares, 24u * 23u / 2u);
+  EXPECT_EQ(reversed_ops.moves, 24u * 23u / 2u + 23u);
 }
 
 TEST(SortSmallAuto, ForcedScalarMatchesNetworkBytes) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/kernels.hpp"
 #include "util/data_gen.hpp"
 
 namespace mp::test {
@@ -21,5 +22,20 @@ inline std::vector<std::int32_t> reference_merge(
 
 /// Readable test-parameter name for a distribution.
 inline std::string dist_name(Dist dist) { return to_string(dist); }
+
+/// Saves the selected merge kernel and restores it on scope exit, so a
+/// test that forces a kernel cannot leak the choice into later tests.
+struct KernelGuard {
+  kernels::Kernel saved = kernels::selected_kernel();
+  ~KernelGuard() { kernels::set_kernel(saved); }
+};
+
+/// Every kernel that can run on this host and build, scalar first.
+inline std::vector<kernels::Kernel> supported_kernels() {
+  std::vector<kernels::Kernel> out;
+  for (kernels::Kernel k : kernels::kAllKernels)
+    if (kernels::kernel_supported(k)) out.push_back(k);
+  return out;
+}
 
 }  // namespace mp::test
