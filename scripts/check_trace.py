@@ -66,8 +66,8 @@ KNOWN_NAMES = {
     "sort.block", "sort.copyback", "sort.round_index",
     # streaming merger
     "stream.pull", "stream.push",
-    # external-memory sort (extmem)
-    "xsort", "xsort.run", "xsort.pass", "xsort.merge", "xsort.retry",
+    # external-memory block I/O (extmem): one retried transfer
+    "xsort.retry",
     # distributed merge (dist)
     "dist.exchange", "dist.tree", "dist.gather", "dist.sort",
     "dist.segment_retry",

@@ -57,6 +57,16 @@ struct DeviceStats {
   std::uint64_t blocks_released = 0;   ///< blocks freed via release_blocks
 
   std::uint64_t transfers() const { return block_reads + block_writes; }
+
+  /// Per-field difference: the traffic between two snapshots.
+  friend DeviceStats operator-(const DeviceStats& a, const DeviceStats& b) {
+    return {a.block_reads - b.block_reads,
+            a.block_writes - b.block_writes,
+            a.seeks - b.seeks,
+            a.faults_injected - b.faults_injected,
+            a.short_transfers - b.short_transfers,
+            a.blocks_released - b.blocks_released};
+  }
 };
 
 /// Outcome of one fallible transfer attempt.

@@ -23,6 +23,7 @@
 #include "extmem/block_device.hpp"
 #include "fault/fault.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 
@@ -40,7 +41,8 @@ namespace detail {
 
 /// Shared retry loop: attempts `op()` (returning IoStatus) up to
 /// max_attempts times, charging doubled modeled backoff between tries.
-/// Returns the number of retries performed; throws IoError on a permanent
+/// Returns the number of retries performed, and adds each one to the
+/// `extmem.retries` counter as it happens; throws IoError on a permanent
 /// status or when attempts run out. With retry.jitter > 0 and a fault plan
 /// attached, each backoff is scaled by a seeded draw from
 /// [1 - jitter, 1] (the plan's jitter stream, independent of its decision
@@ -65,6 +67,9 @@ std::uint64_t retry_io(BlockDevice& device, const fault::RetryPolicy& retry,
                              : ""));
     }
     obs::Span::instant("xsort.retry", "block", block);
+    static obs::Counter& retries =
+        obs::MetricsRegistry::instance().counter("extmem.retries");
+    retries.add(1);
     double wait = backoff;
     if (retry.jitter > 0.0) {
       if (fault::FaultPlan* plan = device.fault_plan())
@@ -156,7 +161,7 @@ class RunWriter {
 };
 
 /// Buffered sequential reader over a run. Holds one block in memory —
-/// the B-sized input buffer of the Aggarwal-Vitter merge.
+/// the B-sized buffer of the Aggarwal-Vitter I/O model.
 template <typename T>
 class RunReader {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -200,21 +205,17 @@ class RunReader {
     return value;
   }
 
-  /// Transient-fault retries performed over this reader's lifetime.
-  std::uint64_t retries() const { return retries_; }
-
  private:
   void refill_if_needed() {
     if (cursor_ < valid_) return;
     const std::uint64_t block_index = consumed_ / elems_per_block();
     const std::uint64_t in_block = consumed_ % elems_per_block();
     const std::uint64_t block = handle_.first_block + block_index;
-    retries_ += detail::retry_io(
-        *device_, retry_, block, "read", [&] {
-          return device_->try_read_block(
-              block, buffer_.data(),
-              static_cast<std::uint32_t>(buffer_.size() * sizeof(T)));
-        });
+    detail::retry_io(*device_, retry_, block, "read", [&] {
+      return device_->try_read_block(
+          block, buffer_.data(),
+          static_cast<std::uint32_t>(buffer_.size() * sizeof(T)));
+    });
     valid_ = std::min<std::uint64_t>(
         elems_per_block(),
         handle_.element_count - block_index * elems_per_block());
@@ -228,16 +229,6 @@ class RunReader {
   std::size_t cursor_ = 0;
   std::size_t valid_ = 0;
   std::uint64_t consumed_ = 0;
-  std::uint64_t retries_ = 0;
 };
-
-/// Releases the device blocks a finished run occupies (recovery/cleanup).
-template <typename T>
-void release_run(BlockDevice& device, RunHandle handle) {
-  const std::uint64_t per_block = device.config().block_bytes / sizeof(T);
-  const std::uint64_t blocks =
-      (handle.element_count + per_block - 1) / per_block;
-  device.release_blocks(handle.first_block, blocks);
-}
 
 }  // namespace mp::extmem

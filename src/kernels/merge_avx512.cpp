@@ -25,7 +25,17 @@
 
 #include "kernels/simd_entry.hpp"
 
+// gcc 12's AVX-512 headers self-initialise the placeholder operand of
+// _mm512_undefined_epi32() (GCC bug 105593), which -Wmaybe-uninitialized
+// reports at every inlined intrinsic that takes one.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include "kernels/simd_loop_common.hpp"
 

@@ -5,20 +5,20 @@
 /// BlockDevice is single-threaded by design, so the pipeline funnels ALL
 /// device access during a phase through one IoThread: compute (the merge)
 /// runs on the caller while the next block's read/write executes on the
-/// I/O thread — the overlap ROADMAP item 3 asks for (and the CARE staged-
-/// buffer idiom from SNIPPETS.md §2, with the io thread standing in for
-/// the copy stream). With async=false the same code runs every operation
-/// inline on the caller, which is the serial baseline the E18 bench
-/// compares against.
+/// I/O thread (the CARE staged-buffer idiom from SNIPPETS.md §2, with the
+/// io thread standing in for the copy stream). With async=false the same
+/// code runs every operation inline on the caller, which is the serial
+/// baseline the E18 bench compares against.
 ///
 /// Error model: an async job that throws (IoError, typically) parks its
 /// exception and rethrows it at the caller's next wait()/drain() — by
 /// finish() at the latest — so failures cannot pass silently.
 ///
-/// Readers and writers here mirror extmem::RunReader/RunWriter but keep
-/// one block in flight: AsyncRunReader prefetches block b+1 while the
-/// merge consumes block b; AsyncRunWriter flushes block b while the merge
-/// fills block b+1.
+/// Readers and writers here share extmem::RunReader/RunWriter's on-device
+/// run format and retry loop (extmem::detail::retry_io) but keep one block
+/// in flight: AsyncRunReader prefetches block b+1 while the merge consumes
+/// block b; AsyncRunWriter flushes block b while the merge fills block
+/// b+1.
 
 #include <cstdint>
 #include <functional>
@@ -119,6 +119,8 @@ class AsyncRunReader {
   std::uint64_t remaining() const { return end_ - consumed_; }
   /// Elements consumed within this window (cursor advancement).
   std::uint64_t consumed() const { return consumed_ - start_; }
+  /// Run index of the next element to consume.
+  std::uint64_t position() const { return consumed_; }
 
   const T& peek() {
     MP_ASSERT(!empty());

@@ -8,7 +8,9 @@
 ///                  surviving injected lane faults), and spilled as runs.
 ///   2. kMerge    — per shard, a k-way loser-tree merge of its runs into
 ///                  one sorted shard run, executed segment-by-segment in
-///                  block-aligned output segments.
+///                  block-aligned output segments. The shard's readers and
+///                  tree stay open across its segments, so each run block
+///                  is read once per incarnation.
 ///   3. kExchange — R ranks (one per shard) each own a block-aligned slice
 ///                  of the global output. Rank r computes the Merge Path
 ///                  co-ranks (stable multisequence selection) bounding its
@@ -53,6 +55,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/recovery.hpp"
@@ -115,6 +118,9 @@ struct PipelineReport {
   std::uint64_t checkpoints = 0;
   std::uint64_t resumes = 0;
   dist::NetStats net{};
+  /// Device traffic of this incarnation's run() alone.
+  extmem::DeviceStats io{};
+  double modeled_io_us = 0;
 };
 
 /// Upper bound on the serialized manifest size for a pipeline over
@@ -277,6 +283,8 @@ class Pipeline {
 
   /// Runs to completion from whatever state the manifest holds.
   PipelineReport run() {
+    const extmem::DeviceStats io_before = device_->stats();
+    const double modeled_before = device_->modeled_io_us();
     IoThread io(cfg_.double_buffer);
     io_ = &io;
     dist::RankNetwork net(static_cast<unsigned>(m_.shards.size()), cfg_.net);
@@ -304,6 +312,8 @@ class Pipeline {
     report.checkpoints = m_.checkpoints;
     report.resumes = m_.resumes;
     report.net = net.stats();
+    report.io = device_->stats() - io_before;
+    report.modeled_io_us = device_->modeled_io_us() - modeled_before;
     return report;
   }
 
@@ -425,7 +435,11 @@ class Pipeline {
     for (unsigned s = 0; s < shard_count(); ++s) {
       ShardManifest& sh = m_.shards[s];
       if (sh.segment_count == 0) merge_init(s, sh);
-      while (sh.segments_done < sh.segment_count) merge_segment(s, sh);
+      {
+        OpenMerge open;
+        while (sh.segments_done < sh.segment_count)
+          merge_segment(s, sh, open);
+      }
       if (!sh.runs.empty()) {
         // Source runs are dead once the shard is merged. Re-running this
         // after a crash is safe: release_blocks skips already-released
@@ -475,32 +489,42 @@ class Pipeline {
     unit_boundary("merge.init", "merge.init.ckpt", true);
   }
 
-  void merge_segment(unsigned s, ShardManifest& sh) {
+  /// One shard's merge state, kept across its consecutive segments so
+  /// every run block is read once per incarnation. Opened at the
+  /// checkpointed cursors by the shard's first segment of an incarnation;
+  /// merge_phase() drops it before run() returns or throws, since the
+  /// readers post to run()'s IoThread.
+  struct OpenMerge {
+    std::vector<std::unique_ptr<AsyncRunReader<T>>> readers;
+    std::optional<detail::StreamLoserTree<T, AsyncRunReader<T>, Comp>> tree;
+  };
+
+  void merge_segment(unsigned s, ShardManifest& sh, OpenMerge& open) {
     {
       obs::Span span("pipe.segment", "shard", s);
       const std::uint64_t seg_elems = cfg_.segment_blocks * epb();
       const std::uint64_t g = sh.segments_done;
       const std::uint64_t lo = g * seg_elems;
       const std::uint64_t hi = std::min(sh.input_count, lo + seg_elems);
-      std::vector<std::unique_ptr<AsyncRunReader<T>>> readers;
-      std::vector<AsyncRunReader<T>*> ptrs;
-      readers.reserve(sh.runs.size());
-      for (std::size_t t = 0; t < sh.runs.size(); ++t) {
-        readers.push_back(std::make_unique<AsyncRunReader<T>>(
-            *io_, *device_, sh.runs[t], sh.cursors[t],
-            sh.runs[t].element_count - sh.cursors[t], cfg_.retry));
-        ptrs.push_back(readers.back().get());
+      if (!open.tree) {
+        std::vector<AsyncRunReader<T>*> ptrs;
+        for (std::size_t t = 0; t < sh.runs.size(); ++t) {
+          open.readers.push_back(std::make_unique<AsyncRunReader<T>>(
+              *io_, *device_, sh.runs[t], sh.cursors[t],
+              sh.runs[t].element_count - sh.cursors[t], cfg_.retry));
+          ptrs.push_back(open.readers.back().get());
+        }
+        open.tree.emplace(std::move(ptrs), comp_);
       }
-      detail::StreamLoserTree<T, AsyncRunReader<T>, Comp> tree(ptrs, comp_);
       AsyncRunWriter<T> writer(*io_, *device_,
                                sh.sorted.first_block + g * cfg_.segment_blocks,
                                cfg_.retry);
-      for (std::uint64_t i = lo; i < hi; ++i) writer.append(tree.pop());
+      for (std::uint64_t i = lo; i < hi; ++i) writer.append(open.tree->pop());
       writer.finish();
-      // The readers' consumed counts ARE the merge frontier's co-ranks at
+      // The readers' positions ARE the merge frontier's co-ranks at
       // output rank `hi` — the checkpointed cursor a redo restarts from.
       for (std::size_t t = 0; t < sh.runs.size(); ++t)
-        sh.cursors[t] += readers[t]->consumed();
+        sh.cursors[t] = open.readers[t]->position();
       sh.segments_done = g + 1;
     }
     ++m_.segments_merged;
@@ -668,5 +692,39 @@ class Pipeline {
   IoThread* io_ = nullptr;  // valid only inside run()
   std::uint64_t steps_ = 0;
 };
+
+/// Sorts `data` through one fresh pipeline on `device`: writes the input
+/// run, runs start(...).run(), and reads the output back. Stable. Every
+/// block allocated since the call began is released on success, and on
+/// any typed fault (IoError, NetError, CrashError) before it is rethrown,
+/// so the device ends holding exactly what it held before. Fills
+/// `report` on success. There is no resume here: a crash fails the call.
+template <typename T, typename Comp = std::less<>>
+std::vector<T> sort_vector(extmem::BlockDevice& device,
+                           const std::vector<T>& data,
+                           const PipelineConfig& cfg = {},
+                           PipelineReport* report = nullptr, Comp comp = {}) {
+  // Allocation is append-only: this call's blocks are the suffix past mark.
+  const std::uint64_t mark = device.blocks_allocated();
+  const auto release = [&] {
+    device.release_blocks(mark, device.blocks_allocated() - mark);
+  };
+  try {
+    extmem::RunWriter<T> writer(device, cfg.retry);
+    writer.append(data.data(), data.size());
+    const PipelineReport done =
+        Pipeline<T, Comp>::start(device, writer.finish(), cfg, comp).run();
+    std::vector<T> out;
+    out.reserve(data.size());
+    extmem::RunReader<T> reader(device, done.output, cfg.retry);
+    while (!reader.empty()) out.push_back(reader.next());
+    release();
+    if (report) *report = done;
+    return out;
+  } catch (const fault::FaultError&) {
+    release();
+    throw;
+  }
+}
 
 }  // namespace mp::pipeline

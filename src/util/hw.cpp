@@ -45,7 +45,7 @@ HostInfo probe_host() {
     if (type.empty()) break;
     if (type != "Data" && type != "Unified") continue;
     CacheLevel level;
-    level.level = std::stoi("0" + read_file(dir + "level"));
+    level.level = static_cast<int>(parse_size(read_file(dir + "level")));
     level.size_bytes = parse_size(read_file(dir + "size"));
     const std::string line = read_file(dir + "coherency_line_size");
     if (!line.empty()) level.line_bytes = parse_size(line);

@@ -21,9 +21,10 @@
 #include "dist/distributed_merge.hpp"
 #include "dist/netsim.hpp"
 #include "extmem/block_device.hpp"
-#include "extmem/external_sort.hpp"
 #include "extmem/run_file.hpp"
 #include "fault/fault.hpp"
+#include "obs/metrics.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
 #include "util/threading.hpp"
@@ -78,6 +79,11 @@ struct SortOutcome {
   std::uint64_t leaked_blocks = 0;
 };
 
+/// Transient-fault retries so far: retry_io counts each one.
+std::uint64_t retry_count() {
+  return obs::MetricsRegistry::instance().counter("extmem.retries").value();
+}
+
 /// One full external sort under a seeded 10% fault schedule. Returns what
 /// happened; IoError is a legal outcome (typed), an abort is not.
 SortOutcome run_faulty_sort(const std::vector<KeyedRecord>& data,
@@ -85,18 +91,16 @@ SortOutcome run_faulty_sort(const std::vector<KeyedRecord>& data,
   extmem::BlockDevice device(small_blocks());
   fault::FaultPlan plan(fault::FaultConfig{seed, kFaultRate, 250.0});
   fault::ScopedInjector injector(device, plan);
-  extmem::ExternalSortConfig config;
-  config.memory_elems = 256;  // many runs + several merge passes
-  config.fan_in = 3;
+  pipeline::PipelineConfig config;
+  config.memory_elems = 256;  // many runs per shard, then the exchange
   config.exec.threads = 2;
   SortOutcome outcome;
+  const std::uint64_t retries_before = retry_count();
   try {
-    extmem::ExternalSortReport report;
-    outcome.result =
-        extmem::external_sort_vector(device, data, config, &report);
+    outcome.result = pipeline::sort_vector(device, data, config);
     outcome.completed = true;
-    outcome.retries = report.io_retries;
-    outcome.faults = report.faults_injected;
+    outcome.retries = retry_count() - retries_before;
+    outcome.faults = device.stats().faults_injected;
   } catch (const extmem::IoError&) {
     outcome.completed = false;
   }
@@ -168,17 +172,15 @@ TEST(FaultSweepExtmem, JitteredBackoffPreservesReplayAndSchedule) {
     extmem::BlockDevice device(small_blocks());
     fault::FaultPlan plan(fault::FaultConfig{seed, kFaultRate, 250.0});
     fault::ScopedInjector injector(device, plan);
-    extmem::ExternalSortConfig config;
+    pipeline::PipelineConfig config;
     config.memory_elems = 256;
-    config.fan_in = 3;
     config.exec.threads = 2;
     config.retry.max_attempts = 16;
     config.retry.jitter = jitter;
     JitterOutcome outcome;
-    extmem::ExternalSortReport report;
-    outcome.result =
-        extmem::external_sort_vector(device, data, config, &report);
-    outcome.retries = report.io_retries;
+    const std::uint64_t retries_before = retry_count();
+    outcome.result = pipeline::sort_vector(device, data, config);
+    outcome.retries = retry_count() - retries_before;
     outcome.schedule_hash = plan.schedule_hash();
     outcome.modeled_us = device.modeled_io_us();
     return outcome;
@@ -220,11 +222,10 @@ TEST(FaultSweepExtmem, PermanentFaultIsTypedAndLeakFree) {
       fault::FaultPlan plan;
       plan.fail_from(from, kind);
       fault::ScopedInjector injector(device, plan);
-      extmem::ExternalSortConfig config;
+      pipeline::PipelineConfig config;
       config.memory_elems = 256;
-      config.fan_in = 2;
       config.exec.threads = 2;
-      ASSERT_THROW(extmem::external_sort_vector(device, data, config),
+      ASSERT_THROW(pipeline::sort_vector(device, data, config),
                    extmem::IoError);
       ASSERT_EQ(device.live_blocks(), 0u) << "leaked temp-run blocks";
     }
@@ -239,16 +240,15 @@ TEST(FaultSweepExtmem, EnospcFromCapacityRecoversCleanly) {
   const auto data = make_records(2000, 0xcafe);
   auto expected = data;
   std::stable_sort(expected.begin(), expected.end());
-  extmem::ExternalSortConfig config;
+  pipeline::PipelineConfig config;
   config.memory_elems = 256;
-  config.fan_in = 2;
   config.exec.threads = 2;
 
   extmem::DeviceConfig tight = small_blocks();
   tight.max_blocks = 24;  // input alone needs ~16
   extmem::BlockDevice device(tight);
   try {
-    extmem::external_sort_vector(device, data, config);
+    pipeline::sort_vector(device, data, config);
     FAIL() << "sort in 24 blocks must hit ENOSPC";
   } catch (const extmem::IoError& error) {
     EXPECT_EQ(error.status(), extmem::IoStatus::kNoSpace);
@@ -256,10 +256,11 @@ TEST(FaultSweepExtmem, EnospcFromCapacityRecoversCleanly) {
   EXPECT_EQ(device.live_blocks(), 0u);
 
   extmem::DeviceConfig roomy = small_blocks();
-  roomy.max_blocks = 96;  // ~2x data + carry: the footprint bound holds
+  // Allocation is append-only, so the cap counts every block the sort
+  // ever allocates: input, manifest, runs, shard runs and output, ~4x data.
+  roomy.max_blocks = 96;
   extmem::BlockDevice retry_device(roomy);
-  EXPECT_EQ(extmem::external_sort_vector(retry_device, data, config),
-            expected);
+  EXPECT_EQ(pipeline::sort_vector(retry_device, data, config), expected);
 }
 
 struct DistOutcome {
@@ -569,10 +570,10 @@ TEST(FaultGate, CompiledOutInjectorsAreInert) {
   std::stable_sort(expected.begin(), expected.end());
   extmem::BlockDevice device(small_blocks());
   fault::ScopedInjector device_injector(device, plan);
-  extmem::ExternalSortConfig config;
+  pipeline::PipelineConfig config;
   config.memory_elems = 256;
   config.exec.threads = 2;
-  EXPECT_EQ(extmem::external_sort_vector(device, data, config), expected);
+  EXPECT_EQ(pipeline::sort_vector(device, data, config), expected);
 
   const auto input = make_merge_input(Dist::kUniform, 500, 500, 41);
   dist::NetConfig net_config;

@@ -21,7 +21,8 @@
 #include "core/stream_merger.hpp"
 #include "../test_support.hpp"
 #include "extmem/block_device.hpp"
-#include "extmem/external_sort.hpp"
+#include "extmem/block_device.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
 
@@ -241,7 +242,8 @@ TEST_P(StabilityByDist, StreamMergerPreservesPayloadOrder) {
 
 TEST_P(StabilityByDist, ExternalSortMatchesStableSortPayloadExactly) {
   // The external path adds run formation, k-way merging with run-index
-  // tie-breaks, and block-granular round-trips through the device — any
+  // tie-breaks, the co-rank exchange across 1-3 shards, and
+  // block-granular round-trips through the device — any
   // of which could silently reorder ties. Payload-exact equality with
   // std::stable_sort over the same shuffled input pins all of it down.
   const Dist dist = GetParam();
@@ -267,11 +269,11 @@ TEST_P(StabilityByDist, ExternalSortMatchesStableSortPayloadExactly) {
     extmem::DeviceConfig device_config;
     device_config.block_bytes = 1024;  // 128 records: forces real merging
     extmem::BlockDevice device(device_config);
-    extmem::ExternalSortConfig config;
+    pipeline::PipelineConfig config;
     config.memory_elems = 256;
-    config.fan_in = 2 + static_cast<std::size_t>(rng.bounded(3));
+    config.shards = 1 + static_cast<unsigned>(rng.bounded(3));
     config.exec.threads = threads;
-    ASSERT_EQ(extmem::external_sort_vector(device, data, config), expected)
+    ASSERT_EQ(pipeline::sort_vector(device, data, config), expected)
         << "external sort payload order";
   }
 }

@@ -41,9 +41,9 @@ INSTANTIATE_TEST_SUITE_P(
                           std::size_t{32768}),
         ::testing::Values(1u, 4u, 9u)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_c" +
-             std::to_string(std::get<1>(pinfo.param)) + "_p" +
-             std::to_string(std::get<2>(pinfo.param));
+      return test::param_name("n", std::get<0>(pinfo.param), "_c",
+                             std::get<1>(pinfo.param), "_p",
+                             std::get<2>(pinfo.param));
     });
 
 TEST(CacheSort, IsStable) {

@@ -6,7 +6,7 @@
 
 #include "cachesim/cache.hpp"
 #include "core/mergepath.hpp"
-#include "extmem/external_sort.hpp"
+#include "extmem/block_device.hpp"
 #include "util/cli.hpp"
 
 namespace mp {
@@ -71,15 +71,6 @@ TEST(Contracts, BlockDeviceRejectsUnwrittenRead) {
   std::uint8_t buf[8];
   EXPECT_DEATH(device.read_block(block, buf, 8), "check failed");
   EXPECT_DEATH(device.read_block(block + 1, buf, 8), "check failed");
-}
-
-TEST(Contracts, ExternalSortRequiresTwoBlocksOfMemory) {
-  extmem::BlockDevice device;  // 64 KiB blocks = 16Ki int32
-  extmem::ExternalSortConfig config;
-  config.memory_elems = 1000;  // less than two blocks
-  const std::vector<std::int32_t> data{3, 1, 2};
-  EXPECT_DEATH(extmem::external_sort_vector(device, data, config),
-               "check failed");
 }
 
 TEST(Contracts, SegmentedConfigDegenerateCacheStillWorks) {

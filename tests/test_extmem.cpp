@@ -1,8 +1,7 @@
 // Tests for the external-memory substrate (S17): device mechanics, run
-// writer/reader round-trips, external sort correctness and stability, and
-// the Aggarwal-Vitter transfer-count bound.
-
-#include "extmem/external_sort.hpp"
+// writer/reader round-trips, and the external sort on top of it
+// (pipeline::sort_vector): correctness, stability, and its transfer
+// count against the pass bound.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +10,9 @@
 
 #include "extmem/block_device.hpp"
 #include "extmem/run_file.hpp"
+#include "pipeline/manifest.hpp"
+#include "pipeline/pipeline.hpp"
+#include "test_support.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
 
@@ -103,17 +105,19 @@ TEST_P(ExternalSortParam, SortsCorrectly) {
   auto expected = data;
   std::sort(expected.begin(), expected.end());
 
-  ExternalSortConfig config;
+  pipeline::PipelineConfig config;
   config.memory_elems = memory;
-  ExternalSortReport report;
-  const auto sorted = external_sort_vector(device, data, config, &report);
+  pipeline::PipelineReport report;
+  const auto sorted = pipeline::sort_vector(device, data, config, &report);
   EXPECT_EQ(sorted, expected);
   if (n > memory) {
-    EXPECT_GT(report.initial_runs, 1u);
+    EXPECT_GT(report.runs_formed, 1u);
   }
-  if (report.initial_runs > 1) {
-    EXPECT_GE(report.merge_passes, 1u);
+  // More runs than shards puts two runs in some shard, which must merge.
+  if (report.runs_formed > config.shards) {
+    EXPECT_GE(report.segments_merged, 1u);
   }
+  EXPECT_EQ(device.live_blocks(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -124,8 +128,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{512},
                                          std::size_t{4096})),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_M" +
-             std::to_string(std::get<1>(pinfo.param));
+      return test::param_name("n", std::get<0>(pinfo.param), "_M",
+                             std::get<1>(pinfo.param));
     });
 
 TEST(ExternalSort, StableAcrossRunsAndPasses) {
@@ -139,63 +143,41 @@ TEST(ExternalSort, StableAcrossRunsAndPasses) {
   auto expected = data;
   std::stable_sort(expected.begin(), expected.end());
 
-  ExternalSortConfig config;
-  config.memory_elems = 1024;  // many runs, several passes
-  config.fan_in = 3;
-  const auto sorted = external_sort_vector(device, data, config);
+  pipeline::PipelineConfig config;
+  config.memory_elems = 1024;  // many runs per shard, then the exchange
+  const auto sorted = pipeline::sort_vector(device, data, config);
   EXPECT_EQ(sorted, expected);
 }
 
 TEST(ExternalSort, TransferCountMeetsAggarwalVitterBound) {
-  // N/B · (1 + passes) * 2-ish transfers; passes = ceil(log_k(runs)).
+  // One shard: run formation, one merge pass, one exchange copy pass.
+  // Each pass reads + writes every block once, plus one partial block per
+  // run boundary, the checkpoints' manifest slots and the co-rank probes.
   BlockDevice device(small_blocks());
   const std::size_t n = 200000;  // ~782 blocks
   const auto data = make_unsorted_values(n, 23);
 
-  ExternalSortConfig config;
-  config.memory_elems = 2048;  // 8 blocks of memory => fan-in 7
-  ExternalSortReport report;
-  const auto sorted = external_sort_vector(device, data, config, &report);
+  pipeline::PipelineConfig config;
+  config.memory_elems = 2048;
+  config.shards = 1;
+  pipeline::PipelineReport report;
+  const auto sorted = pipeline::sort_vector(device, data, config, &report);
   ASSERT_EQ(sorted.size(), n);
 
   const double blocks = std::ceil(static_cast<double>(n) / 256.0);
   const double runs = std::ceil(static_cast<double>(n) / 2048.0);
-  const double passes =
-      std::ceil(std::log(runs) / std::log(static_cast<double>(report.fan_in)));
-  EXPECT_EQ(report.fan_in, 7u);
-  EXPECT_EQ(static_cast<double>(report.merge_passes), passes);
-  // Each pass reads + writes every block once; run formation likewise; the
-  // vector round-trip adds one more write+read of the input. Allow the
-  // per-run partial-block slack.
-  const double bound = 2.0 * blocks * (passes + 1.0) + 2.0 * runs + 4.0;
+  EXPECT_EQ(static_cast<double>(report.runs_formed), runs);
+  const std::uint64_t slot_blocks = pipeline::ManifestStore::slot_blocks_for(
+      device, pipeline::worst_case_manifest_bytes(1, n, 2048));
+  // One-shard co-rank selection halves its step each iteration: at most
+  // log2(n) + 2 probe reads.
+  const double probes = std::log2(static_cast<double>(n)) + 2.0;
+  const double bound = 2.0 * blocks * 3.0 + 3.0 * (runs - 1.0) + probes +
+                       static_cast<double>(report.checkpoints * slot_blocks);
   EXPECT_LE(static_cast<double>(report.io.transfers()), bound)
       << "reads=" << report.io.block_reads
       << " writes=" << report.io.block_writes;
   EXPECT_GT(report.modeled_io_us, 0.0);
-}
-
-TEST(ExternalSort, LargerFanInMeansFewerPasses) {
-  const auto data = make_unsorted_values(100000, 29);
-  std::size_t passes_small = 0, passes_large = 0;
-  {
-    BlockDevice device(small_blocks());
-    ExternalSortConfig config;
-    config.memory_elems = 1024;
-    config.fan_in = 2;
-    ExternalSortReport report;
-    external_sort_vector(device, data, config, &report);
-    passes_small = report.merge_passes;
-  }
-  {
-    BlockDevice device(small_blocks());
-    ExternalSortConfig config;
-    config.memory_elems = 1024;
-    config.fan_in = 16;
-    ExternalSortReport report;
-    external_sort_vector(device, data, config, &report);
-    passes_large = report.merge_passes;
-  }
-  EXPECT_GT(passes_small, passes_large);
 }
 
 }  // namespace

@@ -17,8 +17,8 @@
 #include "dist/distributed_merge.hpp"
 #include "dist/netsim.hpp"
 #include "extmem/block_device.hpp"
-#include "extmem/external_sort.hpp"
 #include "extmem/run_file.hpp"
+#include "pipeline/pipeline.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
 
@@ -308,21 +308,20 @@ TEST(ExternalSortFaults, PermanentFaultReleasesAllTempRuns) {
   BlockDevice device(small_blocks());
   auto values = make_uniform_values(4000, 23);  // ~16 blocks
 
-  // Write the caller-owned input run fault-free.
+  // A caller-owned run written fault-free before the sort.
   RunWriter<std::int32_t> writer(device);
   writer.append(values.data(), values.size());
-  const RunHandle input = writer.finish();
+  writer.finish();
   const std::uint64_t input_blocks = device.live_blocks();
 
   fault::FaultPlan plan;
   plan.fail_from(40, fault::FaultKind::kMedia);  // die mid-sort
   fault::ScopedInjector injector(device, plan);
-  ExternalSortConfig config;
-  config.memory_elems = 512;  // force multiple runs and merge passes
-  config.fan_in = 2;
+  pipeline::PipelineConfig config;
+  config.memory_elems = 512;  // force multiple runs per shard
   config.exec.threads = 1;
-  EXPECT_THROW(external_sort<std::int32_t>(device, input, config), IoError);
-  // Every temp run was released: only the input survives.
+  EXPECT_THROW(pipeline::sort_vector(device, values, config), IoError);
+  // Every temp run was released: only the caller's run survives.
   EXPECT_EQ(device.live_blocks(), input_blocks);
 }
 

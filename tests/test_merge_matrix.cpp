@@ -172,8 +172,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple(6, 6), std::tuple(10, 10),
                       std::tuple(12, 5)),
     [](const auto& pinfo) {
-      return "m" + std::to_string(std::get<0>(pinfo.param)) + "_n" +
-             std::to_string(std::get<1>(pinfo.param));
+      return test::param_name("m", std::get<0>(pinfo.param), "_n",
+                             std::get<1>(pinfo.param));
     });
 
 TEST(MergeMatrix, KnownSmallExample) {

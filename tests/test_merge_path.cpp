@@ -118,8 +118,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple(16, 16), std::tuple(13, 2),
                       std::tuple(2, 13)),
     [](const auto& pinfo) {
-      return "m" + std::to_string(std::get<0>(pinfo.param)) + "_n" +
-             std::to_string(std::get<1>(pinfo.param));
+      return test::param_name("m", std::get<0>(pinfo.param), "_n",
+                             std::get<1>(pinfo.param));
     });
 
 // --- Partition properties on every distribution.

@@ -120,8 +120,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{100000}),
                        ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_p" +
-             std::to_string(std::get<1>(pinfo.param));
+      return test::param_name("n", std::get<0>(pinfo.param), "_p",
+                             std::get<1>(pinfo.param));
     });
 
 TEST(ParallelMergeSort, IsStable) {

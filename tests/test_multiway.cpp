@@ -186,8 +186,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{13}),
                        ::testing::Values(1u, 4u, 7u)),
     [](const auto& pinfo) {
-      return "k" + std::to_string(std::get<0>(pinfo.param)) + "_p" +
-             std::to_string(std::get<1>(pinfo.param));
+      return test::param_name("k", std::get<0>(pinfo.param), "_p",
+                             std::get<1>(pinfo.param));
     });
 
 TEST(ParallelMultiwayMerge, HeavyDuplicationStableAcrossLanes) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,17 @@ inline std::vector<std::int32_t> reference_merge(
 
 /// Readable test-parameter name for a distribution.
 inline std::string dist_name(Dist dist) { return to_string(dist); }
+
+/// Joins streamable parts into a test-parameter name:
+/// param_name("n", 100, "_p", 4) == "n100_p4". Streams rather than
+/// `"n" + std::to_string(...)`, which gcc 12 flags with a -Wrestrict
+/// false positive inside std::string.
+template <typename... Parts>
+std::string param_name(const Parts&... parts) {
+  std::ostringstream out;
+  (out << ... << parts);
+  return out.str();
+}
 
 /// Saves the selected merge kernel and restores it on scope exit, so a
 /// test that forces a kernel cannot leak the choice into later tests.

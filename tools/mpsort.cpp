@@ -17,11 +17,11 @@
 // metrics report.
 //
 // Fault drills (docs/TESTING.md): `sort --binary --fault-rate R
-// [--fault-seed S]` routes the sort through the external-memory path on a
-// simulated device with a seeded fault schedule armed — the CLI face of
-// the recovery machinery. The output is byte-identical to the fault-free
-// sort; a schedule the retries cannot absorb exits 1 with a typed
-// diagnostic, never an abort.
+// [--fault-seed S]` routes the sort through the external-memory pipeline
+// (pipeline::sort_vector) on a simulated device with a seeded fault
+// schedule armed — the CLI face of the recovery machinery. The output is
+// byte-identical to the fault-free sort; a schedule the retries cannot
+// absorb exits 1 with a typed diagnostic, never an abort.
 //
 // `sort --binary --lane-fault-rate R [--fault-seed S]` is the in-memory
 // twin: a dedicated ThreadPool with the schedule attached injects lane
@@ -55,7 +55,6 @@
 
 #include "core/mergepath.hpp"
 #include "dist/netsim.hpp"
-#include "extmem/external_sort.hpp"
 #include "fault/fault.hpp"
 #include "kernels/kernels.hpp"
 #include "pipeline/pipeline.hpp"
@@ -402,7 +401,7 @@ int run_check(const std::string& path, const std::vector<T>& data,
   return 0;
 }
 
-/// `sort --binary --fault-rate R`: the external-memory sort on a
+/// `sort --binary --fault-rate R`: the external-memory pipeline sort on a
 /// simulated device with a seeded fault schedule armed. Recoverable
 /// faults are retried (the result is still the exact stable sort);
 /// permanent ones exit 1 with the typed diagnostic.
@@ -411,18 +410,20 @@ int run_fault_sort(const Options& opt) {
   fault::FaultPlan plan(
       fault::FaultConfig{opt.fault_seed, opt.fault_rate, 250.0});
   fault::ScopedInjector injector(device, plan);
-  extmem::ExternalSortConfig config;
+  pipeline::PipelineConfig config;
   config.exec = Executor{nullptr, opt.threads};
+  obs::Counter& retries =
+      obs::MetricsRegistry::instance().counter("extmem.retries");
+  const std::uint64_t retries_before = retries.value();
   Timer timer;
   try {
-    extmem::ExternalSortReport report;
-    const auto sorted = extmem::external_sort_vector(
-        device, read_binary(opt.files[0]), config, &report);
+    const auto sorted =
+        pipeline::sort_vector(device, read_binary(opt.files[0]), config);
     std::cerr << "sorted " << sorted.size() << " records in "
               << timer.seconds() * 1e3 << " ms (fault seed "
               << opt.fault_seed << " rate " << opt.fault_rate << ": "
-              << report.faults_injected << " faults injected, "
-              << report.io_retries << " retries)\n";
+              << device.stats().faults_injected << " faults injected, "
+              << retries.value() - retries_before << " retries)\n";
     if (!fault::kFaultCompiledIn)
       std::cerr << "mpsort: fault injection compiled out "
                    "(MERGEPATH_FAULT=OFF); the schedule never fired\n";
