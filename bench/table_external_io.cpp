@@ -44,14 +44,24 @@ std::uint64_t merge_passes(std::uint64_t n, const PipelineConfig& cfg) {
   return (runs_per_shard(n, cfg) > 1 ? 1 : 0) + 1;
 }
 
-/// Iterations of one select_ends (pipeline.hpp) call for global rank
-/// `target` over R shards. At most R iterations exhaust a shard; every
-/// other one takes c = max(1, remaining / (2·active)) >= max(1,
-/// remaining / 2R) elements. remaining - max(1, remaining / 2R) is
-/// monotone in remaining, so iterating it from `target` bounds the rest.
-std::uint64_t select_iterations(std::uint64_t target, unsigned shards) {
+/// Global output boundary of exchange rank r, as Pipeline::boundary
+/// computes it: r·n/R aligned down to a block, n past the last rank.
+std::uint64_t rank_boundary(std::uint64_t n, std::uint64_t per_block,
+                            unsigned r, unsigned shards) {
+  if (r >= shards) return n;
+  return std::min(n, (r * n / shards) / per_block * per_block);
+}
+
+/// Iterations of one multiway_select call that claims `remaining`
+/// elements over R shards; each exchange rank's selection starts from the
+/// previous rank's co-rank, so it claims exactly its own slice. At most R
+/// iterations exhaust a shard; every other one takes c = max(1,
+/// remaining / (2·active)) >= max(1, remaining / 2R) elements.
+/// remaining - max(1, remaining / 2R) is monotone in remaining, so
+/// iterating it from the slice size bounds the rest.
+std::uint64_t select_iterations(std::uint64_t remaining, unsigned shards) {
   std::uint64_t iterations = shards;
-  for (std::uint64_t rem = target; rem > 0; ++iterations)
+  for (std::uint64_t rem = remaining; rem > 0; ++iterations)
     rem -= std::max<std::uint64_t>(1, rem / (2ull * shards));
   return iterations;
 }
@@ -78,13 +88,19 @@ double transfer_bound(std::uint64_t n, std::uint64_t per_block,
   // are written at ceil(shard / B) blocks each (R - 1 partials).
   if (passes == 2) bound += (runs - 1.0) + (r - 1.0);
   // kExchange: rank slices are block-aligned, so writes are exactly
-  // ceil(n / B). Per shard, the R rank windows tile its sorted run and
-  // each interior rank boundary re-reads one block: R (R - 1), plus the
-  // R - 1 partial blocks of the shard runs themselves.
-  bound += r * r - 1.0;
-  // Co-rank probes: each select_ends iteration reads at most one block
-  // per shard, for each of the R ranks.
-  bound += r * r * static_cast<double>(select_iterations(n, cfg.shards));
+  // ceil(n / B). The shard readers stay open across ranks, so each block
+  // of a sorted shard run is read once: R - 1 partial blocks.
+  bound += r - 1.0;
+  // Co-rank probes: each selection iteration reads at most one block per
+  // shard, for each rank with a non-empty slice.
+  for (unsigned rank = 0; rank < cfg.shards; ++rank) {
+    const std::uint64_t lo = rank_boundary(n, per_block, rank, cfg.shards);
+    const std::uint64_t hi =
+        rank_boundary(n, per_block, rank + 1, cfg.shards);
+    if (hi > lo)
+      bound +=
+          r * static_cast<double>(select_iterations(hi - lo, cfg.shards));
+  }
   // Checkpoints: each writes one full manifest slot.
   bound += static_cast<double>(report.checkpoints * slot_blocks);
   return bound;

@@ -19,10 +19,13 @@
 ///    merges its quota with a LoserTree. Perfect load balance, no
 ///    inter-lane communication — Algorithm 1 generalised to k inputs.
 
+#include <concepts>
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <ranges>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/instrument.hpp"
@@ -36,18 +39,29 @@ namespace mp {
 
 inline constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
-/// A tournament (loser) tree over k cursors. Pop order is stable: ties are
-/// won by the lower run index.
-template <typename T, typename Comp = std::less<>>
+/// One in-memory LoserTree input: the [first, last) range still to be
+/// consumed.
+template <typename T>
+struct LoserTreeCursor {
+  const T* first = nullptr;
+  const T* last = nullptr;
+
+  bool empty() const { return first == last; }
+  const T& peek() const { return *first; }
+  const T& next() { return *first++; }
+};
+
+/// A tournament (loser) tree over k sources. Pop order is stable: ties are
+/// won by the lower run index. A Source is read only through empty(),
+/// peek() and next(): an in-memory Cursor by value, or a pointer to a
+/// streaming reader (the pipeline's device-backed AsyncRunReader).
+template <typename T, typename Comp = std::less<>,
+          typename Source = LoserTreeCursor<T>>
 class LoserTree {
  public:
-  /// One input cursor: a [first, last) range the tree will consume.
-  struct Cursor {
-    const T* first = nullptr;
-    const T* last = nullptr;
-  };
+  using Cursor = LoserTreeCursor<T>;
 
-  explicit LoserTree(std::vector<Cursor> runs, Comp comp = {})
+  explicit LoserTree(std::vector<Source> runs, Comp comp = {})
       : runs_(std::move(runs)), comp_(comp) {
     k_ = runs_.size();
     slots_ = 1;
@@ -71,11 +85,13 @@ class LoserTree {
 
   bool empty() const { return winner_ == kNone || exhausted(winner_); }
 
-  /// Returns the smallest remaining element and advances its cursor.
-  const T& pop() {
+  /// Returns the smallest remaining element and advances its source: a
+  /// reference into the range for a Cursor, whatever next() returns
+  /// otherwise.
+  decltype(auto) pop() {
     MP_ASSERT(!empty());
     const std::size_t run = winner_;
-    const T& value = *runs_[run].first++;
+    decltype(auto) value = deref(runs_[run]).next();
     replay(run);
     return value;
   }
@@ -106,21 +122,31 @@ class LoserTree {
   }
 
  private:
+  /// The reader behind a stored Source (a pointer Source is followed).
+  template <typename S>
+  static auto& deref(S& source) {
+    if constexpr (std::is_pointer_v<Source>) {
+      return *source;
+    } else {
+      return source;
+    }
+  }
+
   bool exhausted(std::size_t run) const {
-    return run >= k_ || runs_[run].first == runs_[run].last;
+    return run >= k_ || deref(runs_[run]).empty();
   }
 
   /// Winner between two run indices: the one with the smaller head; an
   /// exhausted/absent run always loses; ties go to the lower run index.
-  std::size_t play(std::size_t x, std::size_t y) const {
+  std::size_t play(std::size_t x, std::size_t y) {
     const bool xe = exhausted(x);
     const bool ye = exhausted(y);
     if (xe || ye) {
       if (xe && ye) return x < y ? x : y;
       return xe ? y : x;
     }
-    const T& xv = *runs_[x].first;
-    const T& yv = *runs_[y].first;
+    const T& xv = deref(runs_[x]).peek();
+    const T& yv = deref(runs_[y]).peek();
     if (comp_(xv, yv)) return x;
     if (comp_(yv, xv)) return y;
     return x < y ? x : y;  // stable: lower run wins ties
@@ -137,7 +163,7 @@ class LoserTree {
     winner_ = contender;
   }
 
-  std::vector<Cursor> runs_;
+  std::vector<Source> runs_;
   Comp comp_;
   std::size_t k_ = 0;
   std::size_t slots_ = 1;
@@ -146,9 +172,11 @@ class LoserTree {
 };
 
 /// Multisequence selection: returns positions pos[t] (one per run, with
-/// sum(pos) == rank) such that the prefixes runs[t][0, pos[t]) are exactly
-/// the `rank` smallest elements of the union under the stable order
-/// (value, run index, position).
+/// sum(pos) == rank) such that the prefixes [0, pos[t]) of the runs are
+/// exactly the `rank` smallest elements of the union under the stable
+/// order (value, run index, position). The runs are given as their sizes
+/// plus `key(t, i)`, element i of run t, so the same loop selects over
+/// in-memory spans and over device-backed runs.
 ///
 /// Algorithm: greedy block advancement. While `remaining` elements are
 /// still to be claimed, advance — by up to c = max(1, remaining/(2·k_act))
@@ -157,23 +185,40 @@ class LoserTree {
 /// precede that candidate value v, and across the k_act active runs at most
 /// k_act·c <= remaining/2 + k_act <= remaining unclaimed elements stably
 /// precede v, so the block lies inside the remaining target prefix.
-/// Runs in O(k·(k + log rank)) comparisons.
-template <typename T, typename Comp = std::less<>,
+/// Runs in O(k·(k + log remaining)) comparisons.
+///
+/// `from` (empty = zeros) is where the claim starts: it must itself be the
+/// stable co-rank of some rank r0 <= rank, e.g. an earlier call's result.
+/// Every element it claims stably precedes every unclaimed one, so the
+/// argument above holds on the unclaimed suffixes and the result is the
+/// same unique co-rank a search from zero returns, with `remaining`
+/// starting at rank - r0.
+template <typename Sizes, typename Key, typename Comp = std::less<>,
           typename Instr = NoInstrument>
-std::vector<std::size_t> multiway_select(
-    std::span<const std::span<const T>> runs, std::size_t rank,
-    Comp comp = {}, Instr* instr = nullptr) {
-  const std::size_t k = runs.size();
-  std::vector<std::size_t> pos(k, 0);
+  requires std::convertible_to<std::ranges::range_value_t<const Sizes>,
+                               std::size_t>
+std::vector<std::size_t> multiway_select(const Sizes& sizes, std::size_t rank,
+                                         Key key, Comp comp = {},
+                                         std::vector<std::size_t> from = {},
+                                         Instr* instr = nullptr) {
+  const std::size_t k = std::ranges::size(sizes);
+  std::vector<std::size_t> pos = std::move(from);
+  if (pos.empty()) pos.assign(k, 0);
+  MP_CHECK(pos.size() == k);
   std::size_t total = 0;
-  for (const auto& r : runs) total += r.size();
-  MP_CHECK(rank <= total);
+  std::size_t claimed = 0;
+  for (std::size_t t = 0; t < k; ++t) {
+    MP_CHECK(pos[t] <= sizes[t]);
+    total += sizes[t];
+    claimed += pos[t];
+  }
+  MP_CHECK(claimed <= rank && rank <= total);
 
-  std::size_t remaining = rank;
+  std::size_t remaining = rank - claimed;
   while (remaining > 0) {
     std::size_t active = 0;
     for (std::size_t t = 0; t < k; ++t)
-      if (pos[t] < runs[t].size()) ++active;
+      if (pos[t] < sizes[t]) ++active;
     MP_ASSERT(active > 0);
     const std::size_t c =
         remaining >= 2 * active ? remaining / (2 * active) : 1;
@@ -184,14 +229,14 @@ std::vector<std::size_t> multiway_select(
     std::size_t best = kNone;
     std::size_t best_take = 0;
     for (std::size_t t = 0; t < k; ++t) {
-      const std::size_t avail = runs[t].size() - pos[t];
+      const std::size_t avail = sizes[t] - pos[t];
       if (avail == 0) continue;
       const std::size_t take = c < avail ? c : avail;
       if constexpr (!std::is_same_v<Instr, NoInstrument>) {
         if (instr) instr->search_step();
       }
-      if (best == kNone ||
-          comp(runs[t][pos[t] + take - 1], runs[best][pos[best] + best_take - 1])) {
+      if (best == kNone || comp(key(t, pos[t] + take - 1),
+                                key(best, pos[best] + best_take - 1))) {
         best = t;
         best_take = take;
       }
@@ -201,6 +246,20 @@ std::vector<std::size_t> multiway_select(
     remaining -= take;
   }
   return pos;
+}
+
+/// Span front-end: selection from zero over in-memory runs.
+template <typename T, typename Comp = std::less<>,
+          typename Instr = NoInstrument>
+std::vector<std::size_t> multiway_select(
+    std::span<const std::span<const T>> runs, std::size_t rank,
+    Comp comp = {}, Instr* instr = nullptr) {
+  return multiway_select(
+      std::views::transform(runs,
+                            [](std::span<const T> r) { return r.size(); }),
+      rank,
+      [runs](std::size_t t, std::size_t i) -> const T& { return runs[t][i]; },
+      comp, {}, instr);
 }
 
 namespace detail {

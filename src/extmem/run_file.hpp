@@ -10,8 +10,7 @@
 /// Transient faults (EINTR, short transfers) are retried with modeled
 /// exponential backoff charged to the device clock; permanent faults
 /// (ENOSPC, media errors) and exhausted retries surface as the typed
-/// IoError. A writer abandoned mid-run releases every block it flushed,
-/// so failed operations leave no garbage on the device.
+/// IoError.
 
 #include <algorithm>
 #include <cstdint>
@@ -41,20 +40,20 @@ namespace detail {
 
 /// Shared retry loop: attempts `op()` (returning IoStatus) up to
 /// max_attempts times, charging doubled modeled backoff between tries.
-/// Returns the number of retries performed, and adds each one to the
-/// `extmem.retries` counter as it happens; throws IoError on a permanent
-/// status or when attempts run out. With retry.jitter > 0 and a fault plan
-/// attached, each backoff is scaled by a seeded draw from
-/// [1 - jitter, 1] (the plan's jitter stream, independent of its decision
-/// stream) so lanes that fault in lockstep de-synchronize their retries.
+/// Adds each retry to the `extmem.retries` counter as it happens; throws
+/// IoError on a permanent status or when attempts run out. With
+/// retry.jitter > 0 and a fault plan attached, each backoff is scaled by a
+/// seeded draw from [1 - jitter, 1] (the plan's jitter stream, independent
+/// of its decision stream) so lanes that fault in lockstep de-synchronize
+/// their retries.
 template <typename Op>
-std::uint64_t retry_io(BlockDevice& device, const fault::RetryPolicy& retry,
-                       std::uint64_t block, const char* what, Op op) {
+void retry_io(BlockDevice& device, const fault::RetryPolicy& retry,
+              std::uint64_t block, const char* what, Op op) {
   double backoff = retry.backoff_us;
   const unsigned attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
   for (unsigned attempt = 1;; ++attempt) {
     const IoStatus status = op();
-    if (status == IoStatus::kOk) return attempt - 1;
+    if (status == IoStatus::kOk) return;
     if (status == IoStatus::kNoSpace || status == IoStatus::kMediaError ||
         attempt >= attempts) {
       obs::flight_report_degraded("extmem.permanent");
@@ -113,40 +112,20 @@ class RunWriter {
     RunHandle handle{first_block_, written_};
     first_block_ = kUnset;
     written_ = 0;
-    blocks_flushed_ = 0;
     return handle;
   }
-
-  /// Abandons the in-progress run: drops buffered data and releases every
-  /// block already flushed for it. Recovery paths call this so a failed
-  /// sort leaves no partial run behind. The writer is reusable afterwards.
-  void abandon() {
-    buffer_.clear();
-    if (first_block_ != kUnset)
-      device_->release_blocks(first_block_, blocks_flushed_);
-    first_block_ = kUnset;
-    written_ = 0;
-    blocks_flushed_ = 0;
-  }
-
-  /// Transient-fault retries performed over this writer's lifetime.
-  std::uint64_t retries() const { return retries_; }
 
  private:
   static constexpr std::uint64_t kUnset = ~0ull;
 
   void flush_block() {
-    // allocate() may throw IoError(kNoSpace); the caller's recovery path
-    // abandons the writer, releasing earlier blocks of this run.
     const std::uint64_t block = device_->allocate(1);
     if (first_block_ == kUnset) first_block_ = block;
-    retries_ += detail::retry_io(
-        *device_, retry_, block, "write", [&] {
-          return device_->try_write_block(
-              block, buffer_.data(),
-              static_cast<std::uint32_t>(buffer_.size() * sizeof(T)));
-        });
-    ++blocks_flushed_;
+    detail::retry_io(*device_, retry_, block, "write", [&] {
+      return device_->try_write_block(
+          block, buffer_.data(),
+          static_cast<std::uint32_t>(buffer_.size() * sizeof(T)));
+    });
     written_ += buffer_.size();
     buffer_.clear();
   }
@@ -156,8 +135,6 @@ class RunWriter {
   std::vector<T> buffer_;
   std::uint64_t first_block_ = kUnset;
   std::uint64_t written_ = 0;
-  std::uint64_t blocks_flushed_ = 0;
-  std::uint64_t retries_ = 0;
 };
 
 /// Buffered sequential reader over a run. Holds one block in memory —
@@ -171,18 +148,6 @@ class RunReader {
             fault::RetryPolicy retry = {})
       : device_(&device), handle_(handle), retry_(retry) {
     buffer_.resize(elems_per_block());
-  }
-
-  /// Windowed reader over elements [offset, offset + count) of the run.
-  /// The pipeline's resume path and co-rank fragment fetches start
-  /// mid-run; the first refill lands mid-block and the cursor picks up
-  /// from there.
-  RunReader(BlockDevice& device, RunHandle handle, std::uint64_t offset,
-            std::uint64_t count, fault::RetryPolicy retry = {})
-      : RunReader(device, handle, retry) {
-    MP_ASSERT(offset + count <= handle.element_count);
-    consumed_ = offset;
-    handle_.element_count = offset + count;
   }
 
   std::size_t elems_per_block() const {

@@ -43,8 +43,6 @@ class IoThread {
   IoThread(const IoThread&) = delete;
   IoThread& operator=(const IoThread&) = delete;
 
-  bool async() const { return async_; }
-
   using Job = std::function<void()>;
 
   /// Enqueues a job; returns its ticket. In inline mode the job runs
@@ -91,7 +89,7 @@ class AsyncRunReader {
                  extmem::RunHandle run, std::uint64_t offset,
                  std::uint64_t count, fault::RetryPolicy retry = {})
       : io_(&io), device_(&device), run_(run), retry_(retry),
-        consumed_(offset), start_(offset), end_(offset + count) {
+        consumed_(offset), end_(offset + count) {
     MP_ASSERT(end_ <= run.element_count);
     current_.resize(elems_per_block());
     pending_buf_.resize(elems_per_block());
@@ -116,9 +114,6 @@ class AsyncRunReader {
   }
 
   bool empty() const { return consumed_ == end_; }
-  std::uint64_t remaining() const { return end_ - consumed_; }
-  /// Elements consumed within this window (cursor advancement).
-  std::uint64_t consumed() const { return consumed_ - start_; }
   /// Run index of the next element to consume.
   std::uint64_t position() const { return consumed_; }
 
@@ -187,7 +182,6 @@ class AsyncRunReader {
   std::uint64_t pending_ticket_ = 0;
   std::size_t cursor_ = 0;
   std::uint64_t consumed_;  // absolute element index within the run
-  std::uint64_t start_;
   std::uint64_t end_;
 };
 
@@ -254,8 +248,6 @@ class AsyncRunWriter {
     return extmem::RunHandle{first_block_ == kUnset ? 0 : first_block_,
                              written_};
   }
-
-  std::uint64_t written() const { return written_; }
 
  private:
   static constexpr std::uint64_t kUnset = ~0ull;

@@ -6,18 +6,21 @@
 ///   1. kForm     — per shard, memory-sized chunks of the input are read,
 ///                  sorted in memory (core's resilient Merge Path sort,
 ///                  surviving injected lane faults), and spilled as runs.
-///   2. kMerge    — per shard, a k-way loser-tree merge of its runs into
-///                  one sorted shard run, executed segment-by-segment in
-///                  block-aligned output segments. The shard's readers and
-///                  tree stay open across its segments, so each run block
-///                  is read once per incarnation.
+///   2. kMerge    — per shard, a k-way merge of its runs (core's stable
+///                  mp::LoserTree over device readers) into one sorted
+///                  shard run, executed segment-by-segment in block-aligned
+///                  output segments. The shard's readers and tree stay
+///                  open across its segments, so each run block is read
+///                  once per incarnation.
 ///   3. kExchange — R ranks (one per shard) each own a block-aligned slice
 ///                  of the global output. Rank r computes the Merge Path
-///                  co-ranks (stable multisequence selection) bounding its
-///                  slice across all shard runs, "fetches" the remote
-///                  fragments over the simulated network (reliable_send —
-///                  drops, duplicates and reorders are recovered; hard
-///                  partitions surface as NetError), and merges them.
+///                  co-ranks bounding its slice across all shard runs
+///                  (core's multiway_select, started from rank r - 1's
+///                  frontier), "fetches" the remote fragments over the
+///                  simulated network (reliable_send — drops, duplicates
+///                  and reorders are recovered; hard partitions surface as
+///                  NetError), and merges them with the same LoserTree,
+///                  whose readers stay open across ranks.
 ///
 /// Crash consistency (the tentpole): every unit of work — one formed run,
 /// one merged segment, one exchanged rank — ends at a *checkpoint step*
@@ -31,8 +34,9 @@
 ///     checkpointed per-run cursors — the merge frontier's co-ranks — and
 ///     rewrites exactly its own preallocated output blocks, which Merge
 ///     Path's Theorem 14 disjointness makes byte-identical and idempotent;
-///   - a redone exchange rank recomputes the same deterministic co-ranks
-///     and rewrites its disjoint output slice.
+///   - a redone exchange rank reopens its readers at the checkpointed
+///     exchange frontier, recomputes the same co-ranks from it and
+///     rewrites its disjoint output slice byte for byte.
 /// Completed units are never re-executed: the chaos drill asserts the
 /// cumulative manifest counters of a crash-riddled run equal a clean
 /// run's exactly.
@@ -53,11 +57,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/multiway_merge.hpp"
 #include "core/recovery.hpp"
 #include "dist/netsim.hpp"
 #include "extmem/block_device.hpp"
@@ -83,8 +87,6 @@ struct PipelineConfig {
   /// Merge-segment size in device blocks: the redo granularity of the
   /// kMerge phase (one checkpoint per segment).
   std::uint64_t segment_blocks = 4;
-  /// Checkpoint cadence of the kForm phase (1 = after every run).
-  std::uint64_t checkpoint_every_runs = 1;
   /// false disables all intermediate checkpoints (the final manifest
   /// recording completion is still written) — the bench's baseline for
   /// measuring checkpoint overhead.
@@ -129,86 +131,6 @@ struct PipelineReport {
 std::uint64_t worst_case_manifest_bytes(unsigned shards,
                                         std::uint64_t total_elements,
                                         std::uint64_t memory_elems);
-
-namespace detail {
-
-/// Loser tree over streaming readers: the exact tournament of
-/// mp::LoserTree (exhausted inputs always lose; ties to the lower run
-/// index — the stability the co-rank selection assumes) with device-backed
-/// cursors instead of in-memory ranges. Reader must expose empty(),
-/// peek(), next().
-template <typename T, typename Reader, typename Comp>
-class StreamLoserTree {
- public:
-  StreamLoserTree(std::vector<Reader*> runs, Comp comp)
-      : runs_(std::move(runs)), comp_(comp) {
-    k_ = runs_.size();
-    slots_ = 1;
-    while (slots_ < k_) slots_ *= 2;
-    tree_.assign(slots_, kNone);
-    if (k_ == 0) return;
-    std::vector<std::size_t> winners(2 * slots_, kNone);
-    for (std::size_t s = 0; s < slots_; ++s)
-      winners[slots_ + s] = s < k_ ? s : kNone;
-    for (std::size_t node = slots_ - 1; node >= 1; --node) {
-      const std::size_t w1 = winners[2 * node];
-      const std::size_t w2 = winners[2 * node + 1];
-      const std::size_t win = play(w1, w2);
-      tree_[node] = win == w1 ? w2 : w1;
-      winners[node] = win;
-    }
-    winner_ = winners[1];
-  }
-
-  bool empty() { return winner_ == kNone || exhausted(winner_); }
-
-  T pop() {
-    MP_ASSERT(!empty());
-    const std::size_t run = winner_;
-    T value = runs_[run]->next();
-    replay(run);
-    return value;
-  }
-
- private:
-  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-  bool exhausted(std::size_t run) {
-    return run >= k_ || runs_[run]->empty();
-  }
-
-  std::size_t play(std::size_t x, std::size_t y) {
-    const bool xe = exhausted(x);
-    const bool ye = exhausted(y);
-    if (xe || ye) {
-      if (xe && ye) return x < y ? x : y;
-      return xe ? y : x;
-    }
-    const T& xv = runs_[x]->peek();
-    const T& yv = runs_[y]->peek();
-    if (comp_(xv, yv)) return x;
-    if (comp_(yv, xv)) return y;
-    return x < y ? x : y;
-  }
-
-  void replay(std::size_t run) {
-    std::size_t contender = run;
-    for (std::size_t node = (slots_ + run) / 2; node >= 1; node /= 2) {
-      const std::size_t winner = play(tree_[node], contender);
-      if (winner != contender) std::swap(tree_[node], contender);
-    }
-    winner_ = contender;
-  }
-
-  std::vector<Reader*> runs_;
-  Comp comp_;
-  std::size_t k_ = 0;
-  std::size_t slots_ = 1;
-  std::vector<std::size_t> tree_;
-  std::size_t winner_ = kNone;
-};
-
-}  // namespace detail
 
 /// The checkpointed sharded external sort. One instance is one
 /// *incarnation*: construct with start() (fresh) or resume() (attach to a
@@ -336,7 +258,6 @@ class Pipeline {
     MP_CHECK(cfg.shards >= 1);
     MP_CHECK(cfg.memory_elems >= 1);
     MP_CHECK(cfg.segment_blocks >= 1);
-    MP_CHECK(cfg.checkpoint_every_runs >= 1);
     MP_CHECK(device.config().block_bytes >= sizeof(T));
   }
 
@@ -396,6 +317,42 @@ class Pipeline {
     handle = extmem::RunHandle{};
   }
 
+  /// An open stable k-way merge over device runs: one reader per run from
+  /// its checkpointed cursor to the run's end, and core's LoserTree over
+  /// them. Kept across consecutive units (a shard's segments, the
+  /// exchange's ranks), so every run block is read once per incarnation.
+  /// Its owner drops it before run() returns or throws, since the readers
+  /// post to run()'s IoThread.
+  struct OpenMerge {
+    std::vector<std::unique_ptr<AsyncRunReader<T>>> readers;
+    std::optional<LoserTree<T, Comp, AsyncRunReader<T>*>> tree;
+  };
+
+  /// Pops the next `count` elements of the merge over `runs` into the
+  /// preallocated blocks from `first_block`, opening `open` at `cursors`
+  /// first if this incarnation has not yet. Then sets `cursors` to the
+  /// reader positions: the merge frontier's co-ranks, which a redo
+  /// restarts from.
+  void merge_next(OpenMerge& open, const std::vector<extmem::RunHandle>& runs,
+                  std::vector<std::uint64_t>& cursors,
+                  std::uint64_t first_block, std::uint64_t count) {
+    if (!open.tree) {
+      std::vector<AsyncRunReader<T>*> ptrs;
+      for (std::size_t t = 0; t < runs.size(); ++t) {
+        open.readers.push_back(std::make_unique<AsyncRunReader<T>>(
+            *io_, *device_, runs[t], cursors[t],
+            runs[t].element_count - cursors[t], cfg_.retry));
+        ptrs.push_back(open.readers.back().get());
+      }
+      open.tree.emplace(std::move(ptrs), comp_);
+    }
+    AsyncRunWriter<T> writer(*io_, *device_, first_block, cfg_.retry);
+    for (std::uint64_t i = 0; i < count; ++i) writer.append(open.tree->pop());
+    writer.finish();
+    for (std::size_t t = 0; t < runs.size(); ++t)
+      cursors[t] = open.readers[t]->position();
+  }
+
   // ---- kForm -------------------------------------------------------
 
   void form_phase() {
@@ -420,9 +377,7 @@ class Pipeline {
         sh.formed += chunk;
         ++m_.runs_formed;
         obs::MetricsRegistry::instance().counter("pipe.runs_formed").add(1);
-        unit_boundary("form", "form.ckpt",
-                      sh.runs.size() % cfg_.checkpoint_every_runs == 0 ||
-                          sh.formed == sh.input_count);
+        unit_boundary("form", "form.ckpt", true);
       }
     }
     m_.phase = Phase::kMerge;
@@ -489,16 +444,6 @@ class Pipeline {
     unit_boundary("merge.init", "merge.init.ckpt", true);
   }
 
-  /// One shard's merge state, kept across its consecutive segments so
-  /// every run block is read once per incarnation. Opened at the
-  /// checkpointed cursors by the shard's first segment of an incarnation;
-  /// merge_phase() drops it before run() returns or throws, since the
-  /// readers post to run()'s IoThread.
-  struct OpenMerge {
-    std::vector<std::unique_ptr<AsyncRunReader<T>>> readers;
-    std::optional<detail::StreamLoserTree<T, AsyncRunReader<T>, Comp>> tree;
-  };
-
   void merge_segment(unsigned s, ShardManifest& sh, OpenMerge& open) {
     {
       obs::Span span("pipe.segment", "shard", s);
@@ -506,25 +451,8 @@ class Pipeline {
       const std::uint64_t g = sh.segments_done;
       const std::uint64_t lo = g * seg_elems;
       const std::uint64_t hi = std::min(sh.input_count, lo + seg_elems);
-      if (!open.tree) {
-        std::vector<AsyncRunReader<T>*> ptrs;
-        for (std::size_t t = 0; t < sh.runs.size(); ++t) {
-          open.readers.push_back(std::make_unique<AsyncRunReader<T>>(
-              *io_, *device_, sh.runs[t], sh.cursors[t],
-              sh.runs[t].element_count - sh.cursors[t], cfg_.retry));
-          ptrs.push_back(open.readers.back().get());
-        }
-        open.tree.emplace(std::move(ptrs), comp_);
-      }
-      AsyncRunWriter<T> writer(*io_, *device_,
-                               sh.sorted.first_block + g * cfg_.segment_blocks,
-                               cfg_.retry);
-      for (std::uint64_t i = lo; i < hi; ++i) writer.append(open.tree->pop());
-      writer.finish();
-      // The readers' positions ARE the merge frontier's co-ranks at
-      // output rank `hi` — the checkpointed cursor a redo restarts from.
-      for (std::size_t t = 0; t < sh.runs.size(); ++t)
-        sh.cursors[t] = open.readers[t]->position();
+      merge_next(open, sh.runs, sh.cursors,
+                 sh.sorted.first_block + g * cfg_.segment_blocks, hi - lo);
       sh.segments_done = g + 1;
     }
     ++m_.segments_merged;
@@ -544,13 +472,20 @@ class Pipeline {
   }
 
   void exchange_phase(dist::RankNetwork& net) {
-    while (m_.ranks_done < shard_count()) {
-      const unsigned r = static_cast<unsigned>(m_.ranks_done);
-      exchange_rank(r, net);
-      ++m_.ranks_done;
-      ++m_.ranks_exchanged;
-      obs::MetricsRegistry::instance().counter("pipe.ranks_exchanged").add(1);
-      unit_boundary("exchange.rank", "exchange.rank.ckpt", true);
+    {
+      std::vector<extmem::RunHandle> sorted;
+      for (const ShardManifest& sh : m_.shards) sorted.push_back(sh.sorted);
+      OpenMerge open;
+      while (m_.ranks_done < shard_count()) {
+        const unsigned r = static_cast<unsigned>(m_.ranks_done);
+        exchange_rank(r, net, sorted, open);
+        ++m_.ranks_done;
+        ++m_.ranks_exchanged;
+        obs::MetricsRegistry::instance()
+            .counter("pipe.ranks_exchanged")
+            .add(1);
+        unit_boundary("exchange.rank", "exchange.rank.ckpt", true);
+      }
     }
     for (ShardManifest& sh : m_.shards) release_handle(sh.sorted);
     m_.phase = Phase::kDone;
@@ -590,50 +525,32 @@ class Pipeline {
     return cache.data[static_cast<std::size_t>(index % epb())];
   }
 
-  /// Device-backed multiway_select (same greedy advancement, same
-  /// (value, run-index) tie-breaking) for global rank `target`: returns
-  /// the stable co-rank positions across the shard runs. Deterministic —
-  /// a redone rank recomputes identical ends.
+  /// The stable co-rank of global rank `target` across the shard runs:
+  /// core's multiway_select over block probes, started from the exchange
+  /// frontier. That frontier is the exact co-rank of boundary(rank), so
+  /// the result is the one a search from zero finds, and a redone rank
+  /// recomputes identical ends.
   std::vector<std::uint64_t> select_ends(unsigned rank, std::uint64_t target,
-                                         std::vector<ProbeCache>& caches,
                                          dist::RankNetwork& net) {
     obs::Span span("pipe.select", "rank", rank);
-    const std::size_t k = m_.shards.size();
-    std::vector<std::uint64_t> pos(k, 0);
-    std::uint64_t remaining = target;
-    while (remaining > 0) {
-      std::uint64_t active = 0;
-      for (std::size_t t = 0; t < k; ++t)
-        if (pos[t] < m_.shards[t].sorted.element_count) ++active;
-      MP_ASSERT(active > 0);
-      const std::uint64_t c =
-          remaining >= 2 * active ? remaining / (2 * active) : 1;
-      std::size_t best = k;
-      std::uint64_t best_take = 0;
-      const T* best_value = nullptr;
-      for (std::size_t t = 0; t < k; ++t) {
-        const std::uint64_t avail =
-            m_.shards[t].sorted.element_count - pos[t];
-        if (avail == 0) continue;
-        const std::uint64_t take = c < avail ? c : avail;
-        const T& v = probe(rank, static_cast<unsigned>(t),
-                           pos[t] + take - 1, caches, net);
-        if (best_value == nullptr || comp_(v, *best_value)) {
-          best = t;
-          best_take = take;
-          best_value = &v;
-        }
-      }
-      MP_ASSERT(best < k);
-      const std::uint64_t take =
-          best_take < remaining ? best_take : remaining;
-      pos[best] += take;
-      remaining -= take;
-    }
-    return pos;
+    std::vector<ProbeCache> caches(shard_count());
+    std::vector<std::uint64_t> sizes;
+    for (const ShardManifest& sh : m_.shards)
+      sizes.push_back(sh.sorted.element_count);
+    const std::vector<std::size_t> ends = multiway_select(
+        sizes, target,
+        [&](std::size_t s, std::size_t index) -> const T& {
+          return probe(rank, static_cast<unsigned>(s), index, caches, net);
+        },
+        comp_,
+        std::vector<std::size_t>(m_.exchange_cursors.begin(),
+                                 m_.exchange_cursors.end()));
+    return {ends.begin(), ends.end()};
   }
 
-  void exchange_rank(unsigned r, dist::RankNetwork& net) {
+  void exchange_rank(unsigned r, dist::RankNetwork& net,
+                     const std::vector<extmem::RunHandle>& sorted,
+                     OpenMerge& open) {
     obs::Span span("pipe.exchange", "rank", r);
     const std::uint64_t lo = boundary(r);
     const std::uint64_t hi = boundary(r + 1);
@@ -641,46 +558,31 @@ class Pipeline {
       net.end_round();
       return;  // empty slice: frontier unchanged
     }
+    std::vector<std::uint64_t> ends;
     for (unsigned attempt = 0;; ++attempt) {
       try {
-        std::vector<ProbeCache> caches(m_.shards.size());
-        const std::vector<std::uint64_t> ends =
-            select_ends(r, hi, caches, net);
+        ends = select_ends(r, hi, net);
         // Fetch the remote fragments: shard s ships its
         // [cursor, end) slice to rank r in one reliable message (resends
         // and dedup priced by the protocol; a persistent partition
-        // escapes as NetError and retries the whole rank below).
+        // escapes as NetError and retries the selection and fetch).
         for (std::size_t s = 0; s < m_.shards.size(); ++s) {
-          MP_CHECK(ends[s] >= m_.exchange_cursors[s]);
           const std::uint64_t frag = ends[s] - m_.exchange_cursors[s];
           if (frag > 0 && s != r)
             net.reliable_send(static_cast<unsigned>(s), r,
                               frag * sizeof(T));
         }
-        std::vector<std::unique_ptr<AsyncRunReader<T>>> readers;
-        std::vector<AsyncRunReader<T>*> ptrs;
-        for (std::size_t s = 0; s < m_.shards.size(); ++s) {
-          readers.push_back(std::make_unique<AsyncRunReader<T>>(
-              *io_, *device_, m_.shards[s].sorted, m_.exchange_cursors[s],
-              ends[s] - m_.exchange_cursors[s], cfg_.retry));
-          ptrs.push_back(readers.back().get());
-        }
-        detail::StreamLoserTree<T, AsyncRunReader<T>, Comp> tree(ptrs,
-                                                                 comp_);
-        AsyncRunWriter<T> writer(*io_, *device_,
-                                 m_.output.first_block + lo / epb(),
-                                 cfg_.retry);
-        for (std::uint64_t i = lo; i < hi; ++i) writer.append(tree.pop());
-        writer.finish();
-        m_.exchange_cursors = ends;
         break;
       } catch (const dist::NetError&) {
-        // The rank's output blocks are preallocated and disjoint, so a
-        // partial attempt is simply overwritten by the retry.
         if (attempt >= cfg_.net.segment_retries) throw;
         obs::Span::instant("pipe.retry", "rank", r);
       }
     }
+    merge_next(open, sorted, m_.exchange_cursors,
+               m_.output.first_block + lo / epb(), hi - lo);
+    // The tree and the selection break ties alike, so the merge must have
+    // stopped exactly at the selected co-rank.
+    MP_CHECK(m_.exchange_cursors == ends);
     net.end_round();
   }
 

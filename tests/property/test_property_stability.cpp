@@ -242,7 +242,7 @@ TEST_P(StabilityByDist, StreamMergerPreservesPayloadOrder) {
 
 TEST_P(StabilityByDist, ExternalSortMatchesStableSortPayloadExactly) {
   // The external path adds run formation, k-way merging with run-index
-  // tie-breaks, the co-rank exchange across 1-3 shards, and
+  // tie-breaks, the co-rank exchange across 1-7 shards, and
   // block-granular round-trips through the device — any
   // of which could silently reorder ties. Payload-exact equality with
   // std::stable_sort over the same shuffled input pins all of it down.
@@ -271,10 +271,41 @@ TEST_P(StabilityByDist, ExternalSortMatchesStableSortPayloadExactly) {
     extmem::BlockDevice device(device_config);
     pipeline::PipelineConfig config;
     config.memory_elems = 256;
-    config.shards = 1 + static_cast<unsigned>(rng.bounded(3));
+    config.shards = 1 + static_cast<unsigned>(rng.bounded(7));
     config.exec.threads = threads;
     ASSERT_EQ(pipeline::sort_vector(device, data, config), expected)
         << "external sort payload order";
+  }
+}
+
+TEST(StabilityExternal, ThreeValueKeysStraddleEveryRankBoundary) {
+  // Three distinct keys: every exchange rank boundary falls inside a run of
+  // ties, so each rank's co-rank selection and merge must split those ties
+  // across shards exactly as std::stable_sort orders them.
+  constexpr std::size_t kN = 3000;
+  constexpr std::size_t kPerBlock = 128;  // 1 KiB blocks of 8-byte records
+  Xoshiro256 rng(0x3a1e5);
+  std::vector<KeyedRecord> data(kN);
+  for (std::size_t i = 0; i < kN; ++i)
+    data[i] = KeyedRecord{static_cast<std::int32_t>(rng.bounded(3)),
+                          static_cast<std::uint32_t>(i)};
+  auto expected = data;
+  std::stable_sort(expected.begin(), expected.end());
+  for (const unsigned shards : {4u, 7u}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    // The pipeline's block-aligned rank boundaries all split a tie.
+    for (unsigned r = 1; r < shards; ++r) {
+      const std::size_t b = (r * kN / shards) / kPerBlock * kPerBlock;
+      ASSERT_EQ(expected[b - 1].key, expected[b].key) << "rank " << r;
+    }
+    extmem::DeviceConfig device_config;
+    device_config.block_bytes = kPerBlock * sizeof(KeyedRecord);
+    extmem::BlockDevice device(device_config);
+    pipeline::PipelineConfig config;
+    config.memory_elems = 256;
+    config.shards = shards;
+    config.exec.threads = 2;
+    ASSERT_EQ(pipeline::sort_vector(device, data, config), expected);
   }
 }
 

@@ -133,12 +133,26 @@ TEST(MultiwaySelect, MatchesBruteForceWithHeavyTies) {
     std::size_t total = 0;
     for (const auto& run : runs) total += run.size();
 
+    std::vector<std::vector<std::size_t>> from_zero;
     for (std::size_t rank = 0; rank <= total; ++rank) {
-      const auto actual = multiway_select(
-          std::span<const std::span<const std::int32_t>>(views), rank);
+      from_zero.push_back(multiway_select(
+          std::span<const std::span<const std::int32_t>>(views), rank));
       const auto expected = reference_select(runs, rank);
-      EXPECT_EQ(actual, expected) << "seed=" << seed << " rank=" << rank;
+      EXPECT_EQ(from_zero.back(), expected)
+          << "seed=" << seed << " rank=" << rank;
     }
+    // Resuming from any earlier stable co-rank reaches the same one.
+    std::vector<std::size_t> sizes;
+    for (const auto& run : runs) sizes.push_back(run.size());
+    const auto key = [&](std::size_t t, std::size_t i) -> const std::int32_t& {
+      return runs[t][i];
+    };
+    for (std::size_t r0 = 0; r0 <= total; ++r0)
+      for (std::size_t r1 = r0 + 1; r1 <= total; ++r1)
+        ASSERT_EQ(multiway_select(sizes, r1, key, std::less<>{},
+                                  from_zero[r0]),
+                  from_zero[r1])
+            << "seed=" << seed << " r0=" << r0 << " r1=" << r1;
   }
 }
 
